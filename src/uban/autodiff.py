@@ -14,10 +14,9 @@ __all__ = [
     "ShapeMismatch",
     "NonFiniteLoss",
     "add", "sub", "neg", "mul", "div", "matmul", "concat", "slice_",
-    "gather_rows", "reshape", "tensor_sum", "tensor_mean", "reduce_max",
+    "gather_rows", "tensor_sum", "tensor_mean", "reduce_max",
     "reduce_min", "exp", "log", "sigmoid", "tanh", "softplus", "square",
-    "clip", "softmax", "log_softmax", "scale_by_scalar_node",
-    "forward_op", "backward", "grad_check",
+    "clip", "softmax", "log_softmax", "backward", "grad_check",
 ]
 
 
@@ -42,14 +41,6 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self.op = op
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, grad={self.requires_grad})"
@@ -163,11 +154,6 @@ def div(a, b):
     return _make(out_data, (a, b), back, "div")
 
 
-def scale_by_scalar_node(a, s):
-    """Divide a tensor by a (possibly learned) positive scalar node."""
-    return div(a, s)
-
-
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
@@ -226,16 +212,6 @@ def gather_rows(a, indices):
         _accumulate(a, full)
 
     return _make(out_data, (a,), back, "gather_rows")
-
-
-def reshape(a, shape):
-    a = _as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def back(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _make(out_data, (a,), back, "reshape")
 
 
 # ---------------------------------------------------------------------------
@@ -402,32 +378,7 @@ def log_softmax(a, axis=-1):
 
 
 # ---------------------------------------------------------------------------
-# dispatch, backward, gradient checking
-
-_OP_TABLE = {
-    "add": add,
-    "mul": mul,
-    "matmul": matmul,
-    "concat": concat,
-    "slice": slice_,
-    "sum": tensor_sum,
-    "mean": tensor_mean,
-    "exp": exp,
-    "log": log,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "softmax_axis": softmax,
-    "scale_by_scalar_node": scale_by_scalar_node,
-    "square": square,
-}
-
-
-def forward_op(kind, *inputs, **kwargs):
-    """Dispatch an op by name; unknown kinds are rejected."""
-    if kind not in _OP_TABLE:
-        raise ValueError(f"unknown op kind {kind!r}")
-    return _OP_TABLE[kind](*inputs, **kwargs)
-
+# backward, gradient checking
 
 def _topo_order(root):
     order = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -44,20 +45,36 @@ def _digest(path):
     return h.hexdigest()
 
 
+def _write_json(path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    return path
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def _write_manifest(out_dir, command, config, seed, inputs, outputs):
-    manifest = {
+    return _write_json(Path(out_dir) / "manifest.json", {
         "command": command,
         "version": __version__,
         "seed": seed,
         "config": config,
         "inputs": {str(p): _digest(p) for p in inputs},
         "outputs": sorted(str(p) for p in outputs),
-    }
-    path = Path(out_dir) / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
+    })
+
+
+# config-file keys: every TrainConfig field except the seed (--seed) and the
+# TRUL horizon grid, each cast to the type of its default
+_CONFIG_CASTS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)
+                 if f.name not in ("seed", "tau_a_grid")}
 
 
 def _read_config_file(path):
@@ -71,7 +88,13 @@ def _read_config_file(path):
             if "=" not in line:
                 raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
+            if key not in _CONFIG_CASTS:
+                raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = _CONFIG_CASTS[key](value)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: {key} needs a "
+                                f"{_CONFIG_CASTS[key].__name__}, got {value!r}") from None
     return values
 
 
@@ -112,16 +135,12 @@ def cmd_stats(args):
             if merged[i, j] > 0:
                 top.append((int(merged[i, j]), i, j))
     top.sort(key=lambda t: (-t[0], t[1], t[2]))
-    summary = {
+    outputs.append(_write_json(out / "summary.json", {
         "classes": C,
         "nonzero_pairs": len(top),
         "top_uncertain_pairs": [
             {"classes": [i, j], "score": s} for s, i, j in top[:20]],
-    }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    outputs.append(out / "summary.json")
+    }))
 
     _write_manifest(out, "stats", {"edges": bool(args.edges)}, None, inputs, outputs)
     return EXIT_OK
@@ -140,11 +159,9 @@ def cmd_gen(args):
     write_annotation_csv(result.corpus, result.vocab, out / "annotations.csv")
     write_feature_csv(result.store, out / "features.csv")
     write_vocab_csv(result.vocab, out / "verbs.csv", out / "nouns.csv")
-    with open(out / "successors.json", "w", encoding="utf-8") as fh:
-        json.dump({str(c): {str(s): p for s, p in sorted(d.items())}
-                   for c, d in sorted(result.successor_table.items())},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out / "successors.json",
+                {str(c): {str(s): p for s, p in sorted(d.items())}
+                 for c, d in sorted(result.successor_table.items())})
     outputs = [out / n for n in ("annotations.csv", "features.csv", "verbs.csv",
                                  "nouns.csv", "successors.json")]
     _write_manifest(out, "gen", vars(spec), args.seed, [], outputs)
@@ -152,18 +169,7 @@ def cmd_gen(args):
 
 
 def _train_config(args):
-    overrides = {}
-    if args.config:
-        raw = _read_config_file(args.config)
-        casts = {"alpha": float, "beta": float, "gamma": float,
-                 "learning_rate": float, "momentum": float, "weight_decay": float,
-                 "batch_size": int, "epochs": int, "hidden_dim": int,
-                 "tau_o": float, "tau_a": float, "delta": float,
-                 "pooling": str, "families_per_step": int}
-        for key, value in raw.items():
-            if key not in casts:
-                raise DataError(f"unknown config key {key!r}")
-            overrides[key] = casts[key](value)
+    overrides = _read_config_file(args.config) if args.config else {}
     for key in ("alpha", "beta", "gamma", "epochs", "batch_size", "learning_rate"):
         value = getattr(args, key, None)
         if value is not None:
@@ -221,25 +227,19 @@ def cmd_eval(args):
 
     if args.mode == "metrics":
         report = metric_report(probs, truths)
-        with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-            json.dump({
-                "top1": report.top1, "top5": report.top5,
-                "mean_top5_recall": report.mean_top5_recall,
-                "per_class_recall": {str(k): v for k, v in
-                                     sorted(report.per_class_recall.items())},
-                "sample_count": report.sample_count,
-            }, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        outputs.append(out / "metrics.json")
+        outputs.append(_write_json(out / "metrics.json", {
+            "top1": report.top1, "top5": report.top5,
+            "mean_top5_recall": report.mean_top5_recall,
+            "per_class_recall": {str(k): v for k, v in
+                                 sorted(report.per_class_recall.items())},
+            "sample_count": report.sample_count,
+        }))
 
     elif args.mode == "reject":
         curve = rejection_curve(probs, truths, uncs, args.fractions)
-        with open(out / "rejection.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["R", "accuracy"])
-            for r, acc in zip(curve.fractions, curve.accuracies):
-                writer.writerow([repr(r), repr(acc)])
-        outputs.append(out / "rejection.csv")
+        outputs.append(_write_csv(out / "rejection.csv", ["R", "accuracy"],
+                                  ([repr(r), repr(acc)] for r, acc in
+                                   zip(curve.fractions, curve.accuracies))))
 
     elif args.mode == "noise":
         def evaluate(noisy_store):
@@ -247,52 +247,37 @@ def cmd_eval(args):
             return metric_report(p, t).top5, float(u.mean())
 
         rows = noise_sweep(evaluate, store, args.etas, seed=args.seed)
-        with open(out / "noise.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eta", "top5", "mean_u"])
-            for row in rows:
-                writer.writerow([repr(v) for v in row])
-        outputs.append(out / "noise.csv")
+        outputs.append(_write_csv(out / "noise.csv", ["eta", "top5", "mean_u"],
+                                  ([repr(v) for v in row] for row in rows)))
 
     elif args.mode == "histogram":
         edges, counts, degenerate = uncertainty_histogram(uncs, args.bins)
-        with open(out / "histogram.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_lo", "bin_hi", "count"])
-            for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-                writer.writerow([repr(float(lo)), repr(float(hi)), int(c)])
+        outputs.append(_write_csv(out / "histogram.csv", ["bin_lo", "bin_hi", "count"],
+                                  ([repr(float(lo)), repr(float(hi)), int(c)]
+                                   for lo, hi, c in zip(edges[:-1], edges[1:], counts))))
         if degenerate:
             print("warning: constant uncertainties, histogram is degenerate",
                   file=sys.stderr)
-        outputs.append(out / "histogram.csv")
 
     elif args.mode == "norms":
         counts = np.bincount(truths, minlength=model.num_classes)
         rows, head_mean, tail_mean = weight_norm_report(
             model.head_params["head.Wc"].data.T, counts)
-        with open(out / "weight_norms.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class_id", "instances", "l2_norm"])
-            for c, n, norm in rows:
-                writer.writerow([c, n, repr(norm)])
-            writer.writerow(["head_mean", "", repr(head_mean)])
-            writer.writerow(["tail_mean", "", repr(tail_mean)])
-        outputs.append(out / "weight_norms.csv")
+        outputs.append(_write_csv(
+            out / "weight_norms.csv", ["class_id", "instances", "l2_norm"],
+            [[c, n, repr(norm)] for c, n, norm in rows]
+            + [["head_mean", "", repr(head_mean)], ["tail_mean", "", repr(tail_mean)]]))
 
     elif args.mode == "partitions":
         internal = build_internal_matrix(corpus, vocab)
-        class_report = class_partition_report(internal.values, probs, truths)
-        sample_report = sample_partition_report(probs, truths, uncs)
-        with open(out / "partitions.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["partitioning", "label", "samples", "top5"])
-            for report, name in ((class_report, "class_pairs"),
-                                 (sample_report, "sample_uncertainty")):
-                for label, acc, size in zip(report.labels, report.accuracies,
-                                            report.sizes):
-                    writer.writerow([name, label, size,
-                                     "undefined" if acc is None else repr(acc)])
-        outputs.append(out / "partitions.csv")
+        reports = (("class_pairs", class_partition_report(internal.values, probs, truths)),
+                   ("sample_uncertainty", sample_partition_report(probs, truths, uncs)))
+        outputs.append(_write_csv(
+            out / "partitions.csv", ["partitioning", "label", "samples", "top5"],
+            ([name, label, size, "undefined" if acc is None else repr(acc)]
+             for name, report in reports
+             for label, acc, size in zip(report.labels, report.accuracies,
+                                         report.sizes))))
 
     elif args.mode == "mcdropout":
         samples, _ = window_samples(corpus, store, window)
@@ -300,15 +285,12 @@ def cmd_eval(args):
         result = mc_dropout_forward(model, observed, window.n_a,
                                     passes=args.passes, drop_rate=args.drop_rate,
                                     seed=args.seed)
-        with open(out / "mcdropout.json", "w", encoding="utf-8") as fh:
-            json.dump({
-                "passes": args.passes,
-                "drop_rate": args.drop_rate,
-                "model_uncertainty": result["model_uncertainty"],
-                "data_uncertainty": float(uncs.mean()),
-            }, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        outputs.append(out / "mcdropout.json")
+        outputs.append(_write_json(out / "mcdropout.json", {
+            "passes": args.passes,
+            "drop_rate": args.drop_rate,
+            "model_uncertainty": result["model_uncertainty"],
+            "data_uncertainty": float(uncs.mean()),
+        }))
 
     inputs = [args.checkpoint, args.annotations, args.features, args.verbs, args.nouns]
     _write_manifest(out, f"eval:{args.mode}", {"mode": args.mode, "tau_a": args.tau_a},

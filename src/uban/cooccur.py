@@ -261,7 +261,6 @@ def merge_rows(internal_row, external_row, target_class, top_k=None):
 
 def read_annotations(path):
     """Annotation CSV: video_id,start_s,stop_s,verb_id,noun_id."""
-    by_video = defaultdict(list)
     pair_rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -290,8 +289,8 @@ def corpus_from_rows(rows, vocab):
     return AnnotationCorpus([Video(vid, segs) for vid, segs in sorted(by_video.items())])
 
 
-def read_vocabulary(verb_path, noun_path, activity_pairs=None):
-    """Vocabulary CSV pair (id,lemma each); activities default to id i -> (i, i)."""
+def read_vocabulary(verb_path, noun_path):
+    """Vocabulary CSV pair (id,lemma each); activity i is the pair (i, i)."""
 
     def read_map(path, id_col):
         out = {}
@@ -309,11 +308,9 @@ def read_vocabulary(verb_path, noun_path, activity_pairs=None):
 
     verbs = read_map(verb_path, "verb_id")
     nouns = read_map(noun_path, "noun_id")
-    if activity_pairs is None:
-        if sorted(verbs) != sorted(nouns):
-            raise DataError("implicit activities need matching verb and noun ids")
-        activity_pairs = {i: (i, i) for i in sorted(verbs)}
-    return Vocabulary(verbs, nouns, activity_pairs)
+    if sorted(verbs) != sorted(nouns):
+        raise DataError("implicit activities need matching verb and noun ids")
+    return Vocabulary(verbs, nouns, {i: (i, i) for i in sorted(verbs)})
 
 
 def read_edge_dump(path, selected_relations=DEFAULT_RELATIONS):

@@ -37,6 +37,8 @@ class FeatureStore:
             if arr.ndim != 2 or arr.shape[1] != self.dim:
                 raise DataError(
                     f"video {vid}: features shaped {arr.shape}, expected (*, {self.dim})")
+            if not np.isfinite(arr).all():
+                raise DataError(f"video {vid}: non-finite feature values")
 
 
 @dataclass

@@ -13,10 +13,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 __all__ = [
-    "AdjustedDistribution", "LossBreakdown", "HyperParams",
-    "adjust_distribution", "anticipation_loss", "relative_weights",
-    "mix_features", "srul_loss", "permutation_probability",
-    "trul_loss", "trul_loss_batched", "wd_loss", "total_loss",
+    "AdjustedDistribution", "HyperParams",
+    "adjust_distribution", "soft_cross_entropy", "anticipation_loss",
+    "relative_weights", "mix_features", "srul_loss", "permutation_probability",
+    "trul_loss", "trul_loss_batched", "wd_loss",
 ]
 
 
@@ -24,7 +24,6 @@ __all__ = [
 class AdjustedDistribution:
     probs: Tensor
     log_probs: Tensor
-    temperature: Tensor
 
 
 @dataclass
@@ -38,16 +37,6 @@ class HyperParams:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.beta < 0 or self.gamma < 0:
             raise ValueError("beta and gamma must be nonnegative")
-
-
-@dataclass
-class LossBreakdown:
-    l_srul: float
-    l_trul: float
-    l_wd: float
-    beta: float
-    gamma: float
-    total: float
 
 
 def _as_tensor(x):
@@ -68,8 +57,13 @@ def adjust_distribution(logits, u_hat):
     return AdjustedDistribution(
         probs=ad.softmax(scaled, axis=axis),
         log_probs=ad.log_softmax(scaled, axis=axis),
-        temperature=u_hat,
     )
+
+
+def soft_cross_entropy(log_probs, labels):
+    """-mean(sum(labels * log_probs)) over rows; a 1-D input is a single row."""
+    per_row = ad.tensor_sum(log_probs * _as_tensor(labels), axis=log_probs.data.ndim - 1)
+    return ad.neg(ad.tensor_mean(per_row))
 
 
 def anticipation_loss(adjusted, label):
@@ -81,11 +75,7 @@ def anticipation_loss(adjusted, label):
     sums = probs_label.sum(axis=-1)
     if not np.allclose(sums, 1.0, atol=1e-9):
         raise ValueError(f"label rows must sum to 1, got {sums}")
-    lp = adjusted.log_probs
-    weighted = lp * Tensor(probs_label)
-    if lp.data.ndim == 1:
-        return ad.neg(ad.tensor_sum(weighted))
-    return ad.neg(ad.tensor_mean(ad.tensor_sum(weighted, axis=1)))
+    return soft_cross_entropy(adjusted.log_probs, probs_label)
 
 
 def relative_weights(u):
@@ -120,14 +110,8 @@ def srul_loss(mixed_log_probs_by_step, pair_labels):
     Cross-entropy is averaged over pairs and over steps.
     """
     labels = Tensor(np.asarray(pair_labels, dtype=np.float64))
-    per_step = []
-    for lp in mixed_log_probs_by_step:
-        ce = ad.neg(ad.tensor_mean(ad.tensor_sum(lp * labels, axis=1)))
-        per_step.append(ce)
-    total = per_step[0]
-    for ce in per_step[1:]:
-        total = total + ce
-    return total * Tensor(1.0 / len(per_step))
+    per_step = [soft_cross_entropy(lp, labels) for lp in mixed_log_probs_by_step]
+    return sum(per_step[1:], per_step[0]) * Tensor(1.0 / len(per_step))
 
 
 def permutation_probability(u, order):
@@ -149,7 +133,7 @@ def permutation_probability(u, order):
     return prob
 
 
-def trul_loss(families, ideal_orders=None):
+def trul_loss(families):
     """Negative log-likelihood of the ideal (descending) uncertainty ranking.
 
     families: list of (M,) positive tensors, each ordered by decreasing
@@ -158,20 +142,16 @@ def trul_loss(families, ideal_orders=None):
     """
     terms = []
     skipped = 0
-    for idx, u in enumerate(families):
+    for u in families:
         u = _as_tensor(u)
         M = u.data.shape[0]
         if M < 2:
             skipped += 1
             continue
-        order = list(range(M)) if ideal_orders is None else list(ideal_orders[idx])
-        terms.append(ad.neg(ad.log(permutation_probability(u, order))))
+        terms.append(ad.neg(ad.log(permutation_probability(u, list(range(M))))))
     if not terms:
         return Tensor(0.0), skipped
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total, skipped
+    return sum(terms[1:], terms[0]), skipped
 
 
 def trul_loss_batched(u_mat):
@@ -203,14 +183,3 @@ def wd_loss(uncertainties):
         total = total + ad.tensor_sum(ad.square(_as_tensor(u)))
     return total
 
-
-def total_loss(l_srul, l_trul, l_wd, hp):
-    """Weighted objective; the decomposition is kept for telemetry."""
-    l_srul = float(l_srul.data) if isinstance(l_srul, Tensor) else float(l_srul)
-    l_trul = float(l_trul.data) if isinstance(l_trul, Tensor) else float(l_trul)
-    l_wd = float(l_wd.data) if isinstance(l_wd, Tensor) else float(l_wd)
-    return LossBreakdown(
-        l_srul=l_srul, l_trul=l_trul, l_wd=l_wd,
-        beta=hp.beta, gamma=hp.gamma,
-        total=l_srul + hp.beta * l_trul + hp.gamma * l_wd,
-    )

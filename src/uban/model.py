@@ -10,24 +10,27 @@ uncertainty vector whose pooled scalar serves as a softmax temperature.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .cooccur import DataError
 
 __all__ = [
     "AnticipationWindow", "BackboneOutput", "UncertaintyEstimate",
     "DualHeadOutput", "GruBackbone", "AnticipationModel",
     "dual_heads", "mc_dropout_forward",
     "save_checkpoint", "load_checkpoint",
-    "U_FLOOR", "U_CEILING",
+    "U_FLOOR", "U_CEILING", "POOLINGS",
 ]
 
 U_FLOOR = 0.1
 U_CEILING = 10.0
+POOLINGS = ("mean", "max", "min")
 
 _CKPT_MAGIC = b"UBANCKPT"
 _CKPT_VERSION = 1
@@ -65,14 +68,12 @@ class AnticipationWindow:
 @dataclass
 class BackboneOutput:
     anticipated: list[Tensor]      # one (B, d) feature tensor per step
-    hidden_trace: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
 class UncertaintyEstimate:
     vector: Tensor                 # (B, C), strictly positive
     scalar: Tensor                 # (B, 1), pooled and clamped
-    pooling: str
 
 
 @dataclass
@@ -107,11 +108,7 @@ def _gru_step(params, prefix, x, h):
 
 
 class GruBackbone:
-    """GRU encoder + GRU decoder emitting one future feature per step.
-
-    Any object with the same `anticipate(observed, n_a)` signature and a
-    `params` dict can substitute for this backbone.
-    """
+    """GRU encoder + GRU decoder emitting one future feature per step."""
 
     def __init__(self, feature_dim, hidden_dim, rng=None):
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -123,7 +120,7 @@ class GruBackbone:
         self.params["dec.Wout"] = _uniform_init(rng, (hidden_dim, feature_dim), hidden_dim)
         self.params["dec.bout"] = Tensor(np.zeros((1, feature_dim)), requires_grad=True)
 
-    def anticipate(self, observed, n_a, keep_trace=False):
+    def anticipate(self, observed, n_a):
         """observed: (B, n_o, d) array or list of (B, d) tensors."""
         if isinstance(observed, np.ndarray):
             if observed.ndim != 3 or observed.shape[2] != self.feature_dim:
@@ -140,7 +137,6 @@ class GruBackbone:
         for x in steps:
             h = _gru_step(self.params, "enc", x, h)
 
-        trace = []
         anticipated = []
         x = steps[-1]
         for _ in range(n_a):
@@ -148,9 +144,7 @@ class GruBackbone:
             feat = ad.matmul(h, self.params["dec.Wout"]) + self.params["dec.bout"]
             anticipated.append(feat)
             x = feat
-            if keep_trace:
-                trace.append(h.data.copy())
-        return BackboneOutput(anticipated=anticipated, hidden_trace=trace)
+        return BackboneOutput(anticipated=anticipated)
 
 
 def _init_heads(rng, feature_dim, num_classes):
@@ -162,16 +156,16 @@ def _init_heads(rng, feature_dim, num_classes):
     }
 
 
-def dual_heads(feature, params, pooling="mean", u_floor=U_FLOOR, u_ceiling=U_CEILING):
+def dual_heads(feature, params, pooling="mean"):
     """Apply both heads to an anticipated feature tensor of shape (B, d).
 
-    The uncertainty vector is softplus(raw) + u_floor, so it is strictly
-    positive; the pooled scalar is clamped to [u_floor, u_ceiling] before it
+    The uncertainty vector is softplus(raw) + U_FLOOR, so it is strictly
+    positive; the pooled scalar is clamped to [U_FLOOR, U_CEILING] before it
     is used as a temperature.
     """
     logits = ad.matmul(feature, params["head.Wc"]) + params["head.bc"]
     raw = ad.matmul(feature, params["head.Wu"]) + params["head.bu"]
-    vector = ad.softplus(raw) + Tensor(u_floor)
+    vector = ad.softplus(raw) + Tensor(U_FLOOR)
     if pooling == "mean":
         pooled = ad.tensor_mean(vector, axis=1, keepdims=True)
     elif pooling == "max":
@@ -180,24 +174,22 @@ def dual_heads(feature, params, pooling="mean", u_floor=U_FLOOR, u_ceiling=U_CEI
         pooled = ad.reduce_min(vector, axis=1, keepdims=True)
     else:
         raise ValueError(f"unknown pooling {pooling!r}")
-    scalar = ad.clip(pooled, u_floor, u_ceiling)
+    scalar = ad.clip(pooled, U_FLOOR, U_CEILING)
     return DualHeadOutput(
         logits=logits,
-        uncertainty=UncertaintyEstimate(vector=vector, scalar=scalar, pooling=pooling))
+        uncertainty=UncertaintyEstimate(vector=vector, scalar=scalar))
 
 
 class AnticipationModel:
     """Backbone plus heads, with a flat named-parameter view for the optimizer."""
 
-    def __init__(self, feature_dim, hidden_dim, num_classes, pooling="mean", seed=0,
-                 backbone=None):
+    def __init__(self, feature_dim, hidden_dim, num_classes, pooling="mean", seed=0):
         rng = np.random.default_rng(seed)
         self.feature_dim = feature_dim
         self.hidden_dim = hidden_dim
         self.num_classes = num_classes
         self.pooling = pooling
-        self.backbone = backbone if backbone is not None else GruBackbone(
-            feature_dim, hidden_dim, rng)
+        self.backbone = GruBackbone(feature_dim, hidden_dim, rng)
         self.head_params = _init_heads(rng, feature_dim, num_classes)
 
     @property
@@ -292,35 +284,56 @@ def save_checkpoint(path, model, meta=None):
 
 
 def load_checkpoint(path):
-    """Returns (model, meta); the parameter round-trip is bit-exact."""
+    """Returns (model, meta); the parameter round-trip is bit-exact.
+
+    A file that is not a complete checkpoint of a known layout raises DataError.
+    """
     with open(path, "rb") as fh:
-        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
-        params = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-            n_items = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n_items), dtype="<f8").reshape(shape)
-            params[name] = np.array(data)
+        blob = fh.read()
+    if blob[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+        raise DataError(f"{path}: not a checkpoint file")
+    pos = len(_CKPT_MAGIC)
+
+    def take(n, what):
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise DataError(f"{path}: checkpoint truncated in {what}")
+        pos += n
+        return blob[pos - n:pos]
+
+    def u32(what):
+        return struct.unpack("<I", take(4, what))[0]
+
+    version = u32("version")
+    if version != _CKPT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        meta = json.loads(take(u32("meta"), "meta").decode("utf-8"))
+    except ValueError:
+        raise DataError(f"{path}: checkpoint meta is not UTF-8 JSON") from None
+    if (not isinstance(meta, dict) or meta.get("pooling") not in POOLINGS
+            or not all(type(meta.get(k)) is int and meta[k] > 0
+                       for k in ("feature_dim", "hidden_dim", "num_classes"))):
+        raise DataError(f"{path}: checkpoint meta lacks a valid model layout")
+    params = {}
+    for _ in range(u32("parameter count")):
+        try:
+            name = take(u32("parameter name"), "parameter name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: parameter name is not UTF-8") from None
+        shape = tuple(struct.unpack("<Q", take(8, name))[0] for _ in range(u32(name)))
+        data = np.frombuffer(take(8 * math.prod(shape), name), dtype="<f8")
+        params[name] = data.reshape(shape).copy()
 
     model = AnticipationModel(meta["feature_dim"], meta["hidden_dim"],
                               meta["num_classes"], pooling=meta["pooling"])
     own = model.params
     if set(own) != set(params):
-        raise ValueError(f"{path}: parameter names {sorted(params)} do not match "
-                         f"model layout {sorted(own)}")
+        raise DataError(f"{path}: parameter names {sorted(params)} do not match "
+                        f"model layout {sorted(own)}")
     for name, data in params.items():
         if own[name].data.shape != data.shape:
-            raise ValueError(f"{path}: shape mismatch for {name}: checkpoint "
-                             f"{data.shape} vs model {own[name].data.shape}")
+            raise DataError(f"{path}: shape mismatch for {name}: checkpoint "
+                            f"{data.shape} vs model {own[name].data.shape}")
         own[name].data = data
     return model, meta

@@ -13,10 +13,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .cooccur import DataError, build_internal_matrix, merge_rows
 from .data import family_batches, pair_batches, window_samples
-from .labels import pair_label, pair_set, single_label
+from .labels import pair_label, pair_set
 from .losses import (HyperParams, adjust_distribution, relative_weights,
-                     srul_loss, total_loss, trul_loss_batched, wd_loss)
-from .model import AnticipationModel, AnticipationWindow, dual_heads
+                     soft_cross_entropy, srul_loss, trul_loss_batched, wd_loss)
+from .model import POOLINGS, AnticipationModel, AnticipationWindow, dual_heads
 
 __all__ = ["TrainConfig", "SgdMomentum", "train", "evaluate_model", "NumericalFailure"]
 
@@ -43,7 +43,21 @@ class TrainConfig:
     pooling: str = "mean"
     tau_a_grid: tuple[float, ...] = (2.0, 1.5, 1.0, 0.5)
     families_per_step: int = 8
-    top_k_members: int | None = None
+
+    def __post_init__(self):
+        if self.delta <= 0:
+            raise DataError(f"delta must be positive, got {self.delta}")
+        if self.pooling not in POOLINGS:
+            raise DataError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
+        if self.batch_size < 2:
+            raise DataError(f"batch_size must be >= 2, got {self.batch_size}")
+        if self.epochs < 1:
+            raise DataError(f"epochs must be >= 1, got {self.epochs}")
+        try:
+            self.window()
+            HyperParams(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
 
     @classmethod
     def desk_profile(cls, **overrides):
@@ -54,9 +68,6 @@ class TrainConfig:
 
     def window(self):
         return AnticipationWindow(tau_o=self.tau_o, tau_a=self.tau_a, delta=self.delta)
-
-    def hyperparams(self):
-        return HyperParams(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
 
     @property
     def plain_cross_entropy(self):
@@ -89,13 +100,11 @@ class SgdMomentum:
             t.grad = None
 
 
-def _label_cache(matrix_internal, matrix_external, alpha, num_classes):
+def _label_cache(matrix_internal, matrix_external, num_classes):
     internal = matrix_internal.values
     external = (matrix_external.values if matrix_external is not None
                 else np.zeros_like(internal))
-    sets = {c: merge_rows(internal[c], external[c], c) for c in range(num_classes)}
-    singles = {c: single_label(c, sets[c], alpha, num_classes) for c in range(num_classes)}
-    return sets, singles
+    return {c: merge_rows(internal[c], external[c], c) for c in range(num_classes)}
 
 
 def _pair_label_rows(pairs, sets, alpha, num_classes, cache):
@@ -108,6 +117,28 @@ def _pair_label_rows(pairs, sets, alpha, num_classes, cache):
             cache[key] = pair_label(key[0], key[1], merged, alpha, num_classes).probs
         rows.append(cache[key])
     return np.stack(rows)
+
+
+def _mixed_log_probs(model, anticipated, heads):
+    """Per anticipation step, the adjusted log-probs of each pair's feature mix.
+
+    The batch holds pairs as consecutive rows (2p, 2p+1); each pair's features
+    are mixed with weights proportional to the two pooled uncertainties.
+    """
+    P = anticipated[0].data.shape[0] // 2
+    i_idx = list(range(0, 2 * P, 2))
+    j_idx = list(range(1, 2 * P, 2))
+    log_probs = []
+    for feat, head in zip(anticipated, heads):
+        u = head.uncertainty.scalar
+        weights = relative_weights(
+            ad.concat([ad.gather_rows(u, i_idx), ad.gather_rows(u, j_idx)], axis=1))
+        mixed = (ad.gather_rows(feat, i_idx) * weights[:, 0:1]
+                 + ad.gather_rows(feat, j_idx) * weights[:, 1:2])
+        mixed_head = dual_heads(mixed, model.head_params, model.pooling)
+        log_probs.append(adjust_distribution(mixed_head.logits,
+                                             mixed_head.uncertainty.scalar).log_probs)
+    return log_probs
 
 
 def _family_uncertainty(model, batch_families):
@@ -123,12 +154,13 @@ def _family_uncertainty(model, batch_families):
     return ad.concat(columns, axis=1)
 
 
-def train(config, corpus, store, vocab, log_path=None, external_matrix=None,
-          progress=None):
+def train(config, corpus, store, vocab, log_path=None, external_matrix=None):
     """Train on the given corpus; returns (model, log_rows).
 
     Co-occurrence statistics come from the training corpus only; callers must
-    pass the training split, never the full dataset.
+    pass the training split, never the full dataset.  The plain objective is
+    cross-entropy against one-hot labels at temperature 1, without pairs; the
+    boosted one is SRUL on mixed pairs + beta * TRUL + gamma * WD.
     """
     window = config.window()
     samples, _ = window_samples(corpus, store, window)
@@ -139,114 +171,73 @@ def train(config, corpus, store, vocab, log_path=None, external_matrix=None,
                               pooling=config.pooling, seed=config.seed)
     optimizer = SgdMomentum(model.params, config.learning_rate,
                             config.momentum, config.weight_decay)
-    hp = config.hyperparams()
-
-    if config.plain_cross_entropy:
-        sets, singles = None, None
+    plain = config.plain_cross_entropy
+    if plain:
         onehot = np.eye(C)
     else:
         internal = build_internal_matrix(corpus, vocab)
-        sets, singles = _label_cache(internal, external_matrix, config.alpha, C)
+        sets = _label_cache(internal, external_matrix, C)
         pair_cache = {}
         families, _ = family_batches(corpus, store, window, config.tau_a_grid)
 
     log_rows = []
-    step = 0
     for epoch in range(config.epochs):
         epoch_seed = config.seed * 100003 + epoch
-        if config.plain_cross_entropy:
-            rng = np.random.default_rng(epoch_seed)
-            order = rng.permutation(len(samples))
-            for lo in range(0, len(order), config.batch_size):
-                batch = [samples[i] for i in order[lo:lo + config.batch_size]]
-                observed = np.stack([s.observed for s in batch])
-                labels = onehot[[s.target_class for s in batch]]
-                _, heads = model.forward(observed, window.n_a)
-                loss = None
-                for head in heads:
-                    lp = ad.log_softmax(head.logits, axis=1)
-                    ce = ad.neg(ad.tensor_mean(ad.tensor_sum(lp * Tensor(labels), axis=1)))
-                    loss = ce if loss is None else loss + ce
-                loss = loss * Tensor(1.0 / len(heads))
-                step = _apply(loss, optimizer, log_rows, step, epoch,
-                              float(loss.data), 0.0, 0.0, 0.0, hp)
-            continue
-
-        fam_rng = np.random.default_rng(epoch_seed + 1)
-        fam_order = fam_rng.permutation(len(families)) if families else []
-        fam_pos = 0
-        for pairs in pair_batches(samples, config.batch_size, epoch_seed):
-            flat = [s for pair in pairs for s in pair]
+        if plain:
+            order = np.random.default_rng(epoch_seed).permutation(len(samples))
+            batches = ([samples[i] for i in order[lo:lo + config.batch_size]]
+                       for lo in range(0, len(order), config.batch_size))
+        else:
+            fam_rng = np.random.default_rng(epoch_seed + 1)
+            fam_order = fam_rng.permutation(len(families)) if families else []
+            fam_pos = 0
+            batches = pair_batches(samples, config.batch_size, epoch_seed)
+        for batch in batches:
+            flat = batch if plain else [s for pair in batch for s in pair]
             observed = np.stack([s.observed for s in flat])
             backbone_out, heads = model.forward(observed, window.n_a)
 
-            P = len(pairs)
-            i_idx = list(range(0, 2 * P, 2))
-            j_idx = list(range(1, 2 * P, 2))
-            pair_labels = _pair_label_rows(pairs, sets, config.alpha, C, pair_cache)
-
-            mixed_log_probs = []
-            u_all = []
-            for feat, head in zip(backbone_out.anticipated, heads):
-                u = head.uncertainty.scalar
-                u_all.append(u)
-                u_i = ad.gather_rows(u, i_idx)
-                u_j = ad.gather_rows(u, j_idx)
-                pair_u = ad.concat([u_i, u_j], axis=1)
-                weights = relative_weights(pair_u)
-                f_i = ad.gather_rows(feat, i_idx)
-                f_j = ad.gather_rows(feat, j_idx)
-                mixed = f_i * weights[:, 0:1] + f_j * weights[:, 1:2]
-                mixed_head = dual_heads(mixed, model.head_params, model.pooling)
-                adjusted = adjust_distribution(mixed_head.logits,
-                                               mixed_head.uncertainty.scalar)
-                mixed_log_probs.append(adjusted.log_probs)
-
-            l_srul = srul_loss(mixed_log_probs, pair_labels)
-            l_wd = wd_loss(ad.concat(u_all, axis=1))
-
-            if families and config.beta > 0:
-                take = min(config.families_per_step, len(families))
-                chosen = [families[fam_order[(fam_pos + i) % len(families)]]
-                          for i in range(take)]
-                fam_pos += take
-                u_mat = _family_uncertainty(model, chosen)
-                l_trul = trul_loss_batched(u_mat) * Tensor(1.0 / take)
+            if plain:
+                labels = onehot[[s.target_class for s in flat]]
+                ces = [soft_cross_entropy(ad.log_softmax(head.logits, axis=1), labels)
+                       for head in heads]
+                loss = sum(ces[1:], ces[0]) * Tensor(1.0 / len(ces))
+                logged = {"l_srul": float(loss.data), "l_trul": 0.0, "l_wd": 0.0,
+                          "mean_u": 0.0}
             else:
-                l_trul = Tensor(0.0)
+                pair_labels = _pair_label_rows(batch, sets, config.alpha, C, pair_cache)
+                l_srul = srul_loss(
+                    _mixed_log_probs(model, backbone_out.anticipated, heads), pair_labels)
+                u_all = [head.uncertainty.scalar for head in heads]
+                l_wd = wd_loss(ad.concat(u_all, axis=1))
+                if families and config.beta > 0:
+                    take = min(config.families_per_step, len(families))
+                    chosen = [families[fam_order[(fam_pos + i) % len(families)]]
+                              for i in range(take)]
+                    fam_pos += take
+                    u_mat = _family_uncertainty(model, chosen)
+                    l_trul = trul_loss_batched(u_mat) * Tensor(1.0 / take)
+                else:
+                    l_trul = Tensor(0.0)
+                loss = l_srul + Tensor(config.beta) * l_trul + Tensor(config.gamma) * l_wd
+                logged = {"l_srul": float(l_srul.data), "l_trul": float(l_trul.data),
+                          "l_wd": float(l_wd.data),
+                          "mean_u": float(np.mean([u.data.mean() for u in u_all]))}
 
-            loss = l_srul + Tensor(hp.beta) * l_trul + Tensor(hp.gamma) * l_wd
-            step = _apply(loss, optimizer, log_rows, step, epoch,
-                          float(l_srul.data),
-                          float(l_trul.data), float(l_wd.data),
-                          float(np.mean([u.data.mean() for u in u_all])), hp)
+            step = len(log_rows)
+            if not np.isfinite(loss.data).all():
+                raise NumericalFailure(f"non-finite loss at step {step}")
+            optimizer.zero_grad()
+            ad.backward(loss)
+            optimizer.step()
+            log_rows.append({"epoch": epoch, "step": step, **logged,
+                             "total": float(loss.data)})
 
     if log_path is not None:
         with open(log_path, "w", encoding="utf-8") as fh:
             for row in log_rows:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
-    if progress is not None:
-        progress(log_rows)
     return model, log_rows
-
-
-def _apply(loss, optimizer, log_rows, step, epoch, l_srul, l_trul, l_wd, mean_u, hp):
-    if not np.isfinite(loss.data).all():
-        raise NumericalFailure(f"non-finite loss at step {step}")
-    optimizer.zero_grad()
-    ad.backward(loss)
-    optimizer.step()
-    breakdown = total_loss(l_srul, l_trul, l_wd, hp)
-    log_rows.append({
-        "epoch": epoch,
-        "step": step,
-        "l_srul": breakdown.l_srul,
-        "l_trul": breakdown.l_trul,
-        "l_wd": breakdown.l_wd,
-        "total": breakdown.total,
-        "mean_u": mean_u,
-    })
-    return step + 1
 
 
 def evaluate_model(model, corpus, store, window, batch_size=256):

@@ -174,3 +174,84 @@ def test_same_seed_reruns_byte_identical(tmp_path):
     shutil.rmtree(train_out)
     assert run(*args) == EXIT_OK
     assert _snapshot(train_out) == snap_train
+
+
+def _corrupt(blob, old, new):
+    assert blob.count(old) == 1 and len(old) == len(new)
+    return blob.replace(old, new)
+
+
+# each case breaks one part of a valid checkpoint: (damage, expected message)
+CHECKPOINT_DAMAGE = {
+    "magic": (lambda b: b"NOTACKPT" + b[8:], "not a checkpoint file"),
+    "version": (lambda b: b[:8] + (2).to_bytes(4, "little") + b[12:],
+                "unsupported checkpoint version 2"),
+    "meta_json": (lambda b: _corrupt(b, b'{"feature_dim"', b'{"feature_dim '),
+                  "meta is not UTF-8 JSON"),
+    "meta_layout": (lambda b: _corrupt(b, b'"pooling": "mean"', b'"pooling": "mode"'),
+                    "meta lacks a valid model layout"),
+    "truncated": (lambda b: b[:len(b) // 2], "checkpoint truncated in"),
+    "names": (lambda b: _corrupt(b, b"head.Wc", b"head.Xc"), "parameter names"),
+    "shape": (lambda b: _corrupt(b, b'"hidden_dim": 32', b'"hidden_dim": 31'),
+              "shape mismatch for"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+def test_bad_checkpoint_is_data_error(gen_dir, train_dir, tmp_path, capsys, damage):
+    corrupt, message = CHECKPOINT_DAMAGE[damage]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt((train_dir / "model.ckpt").read_bytes()))
+    code = run("--out", tmp_path / "e", "eval", *corpus_args(gen_dir),
+               "--features", gen_dir / "features.csv",
+               "--checkpoint", bad, "--mode", "metrics")
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "Traceback" not in err and message in err
+
+
+@pytest.mark.parametrize("line", [
+    "delta=0", "delta=-0.25", "delta=0.4", "alpha=1.0", "alpha=-0.1", "beta=-1",
+    "gamma=-1e-6", "pooling=median", "batch_size=1", "epochs=0", "epochs=abc",
+])
+def test_invalid_train_config_is_data_error(gen_dir, tmp_path, capsys, line):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    code = run("--config", config, "--out", tmp_path / "t", "train",
+               *corpus_args(gen_dir), "--features", gen_dir / "features.csv")
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "Traceback" not in err and "data error" in err
+    assert not (tmp_path / "t" / "model.ckpt").exists()
+
+
+@pytest.fixture(scope="module")
+def nan_features(gen_dir, tmp_path_factory):
+    lines = (gen_dir / "features.csv").read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[3] = "nan"
+    lines[5] = ",".join(fields)
+    path = tmp_path_factory.mktemp("cli") / "features_nan.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path, fields[0]
+
+
+def test_non_finite_features_rejected_by_train(gen_dir, nan_features, tmp_path, capsys):
+    path, video = nan_features
+    code = run("--out", tmp_path / "t", "train", *corpus_args(gen_dir),
+               "--features", path, "--epochs", 1)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "Traceback" not in err and f"video {video}: non-finite" in err
+
+
+def test_non_finite_features_rejected_by_eval(gen_dir, train_dir, nan_features, tmp_path,
+                                              capsys):
+    path, video = nan_features
+    code = run("--out", tmp_path / "e", "eval", *corpus_args(gen_dir),
+               "--features", path, "--checkpoint", train_dir / "model.ckpt",
+               "--mode", "metrics")
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert f"video {video}: non-finite" in err
+    assert not (tmp_path / "e" / "metrics.json").exists()

@@ -8,7 +8,7 @@ from uban import autodiff as ad
 from uban.autodiff import Tensor
 from uban.losses import (HyperParams, adjust_distribution, anticipation_loss,
                          mix_features, permutation_probability, relative_weights,
-                         srul_loss, total_loss, trul_loss, trul_loss_batched,
+                         srul_loss, trul_loss, trul_loss_batched,
                          wd_loss)
 
 
@@ -193,13 +193,6 @@ def test_wd_is_sum_of_squares():
     assert float(wd_loss(Tensor([1.0, 2.0, 3.0])).data) == pytest.approx(14.0)
     assert float(wd_loss([Tensor(2.0), Tensor([1.0, 1.0])]).data) == pytest.approx(6.0)
     assert float(wd_loss([]).data) == 0.0
-
-
-def test_total_combines_with_weights():
-    hp = HyperParams(alpha=0.4, beta=0.005, gamma=5e-6)
-    bd = total_loss(Tensor(2.0), Tensor(3.0), Tensor(100.0), hp)
-    assert bd.total == pytest.approx(2.0 + 0.005 * 3.0 + 5e-6 * 100.0, rel=1e-12)
-    assert (bd.l_srul, bd.l_trul, bd.l_wd) == (2.0, 3.0, 100.0)
 
 
 def test_hyperparams_validation():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,55 @@ def test_train_log_written(tiny, tmp_path):
     train(tiny_config(), tiny.corpus, tiny.store, tiny.vocab, log_path=path)
     rows = [json.loads(line) for line in path.read_text().strip().splitlines()]
     assert rows and {"epoch", "step", "total", "mean_u"} <= set(rows[0])
+
+
+def _param_digest(model):
+    h = hashlib.sha256()
+    for name in sorted(model.params):
+        h.update(name.encode("utf-8"))
+        h.update(model.params[name].data.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+# Exact training trajectories on the tiny corpus; any change to the step's
+# arithmetic, batch order or logging moves at least one of these values.
+# Recorded with numpy's OpenBLAS build; a BLAS that rounds matmuls
+# differently gives other values.
+PINNED = {
+    "boosted": ("d0eb490e7c5ec50fb8efd407b947b1e2ab19cfe941d5610326d7bf0746e9c235", [
+        (0, 0, 1.787822008299894, 3.1796438533714837, 80.5646396760419,
+         1.8041230507651316, 0.7932427908162016),
+        (0, 1, 1.7903063043346856, 3.1772816358777147, 81.28986840424187,
+         1.8065991618560955, 0.7967584974278196),
+        (0, 2, 1.7885234843073383, 3.198520679618218, 49.98109466330142,
+         1.8047659931787459, 0.7903845651100478),
+        (1, 3, 1.7872258835019124, 3.1835709712229683, 71.30631821841527,
+         1.8035002699491192, 0.7977797814950796),
+        (1, 4, 1.784151979898483, 3.2148208467478177, 90.9858044486636,
+         1.8006810131544655, 0.7947362069674888),
+        (1, 5, 1.7970997227636252, 3.1842512894599126, 50.1322375458996,
+         1.8132716403986542, 0.7915845876878108),
+    ]),
+    "plain": ("8a220fe322fe1d340bb874826cbaa0024b6a4220ea21fb77bd8fb7fe75d79bc9", [
+        (0, 0, 1.7819769967629568, 0.0, 0.0, 1.7819769967629568, 0.0),
+        (0, 1, 1.7826078860964252, 0.0, 0.0, 1.7826078860964252, 0.0),
+        (0, 2, 1.788052408253441, 0.0, 0.0, 1.788052408253441, 0.0),
+        (1, 3, 1.7727415905735473, 0.0, 0.0, 1.7727415905735473, 0.0),
+        (1, 4, 1.756651965001159, 0.0, 0.0, 1.756651965001159, 0.0),
+        (1, 5, 1.8060947723387448, 0.0, 0.0, 1.8060947723387448, 0.0),
+    ]),
+}
+
+
+@pytest.mark.parametrize("objective", sorted(PINNED))
+def test_log_rows_pinned(tiny, objective):
+    overrides = {} if objective == "boosted" else dict(alpha=0.0, beta=0.0, gamma=0.0)
+    cfg = tiny_config(**overrides)
+    model, log_rows = train(cfg, tiny.corpus, tiny.store, tiny.vocab)
+    digest, rows = PINNED[objective]
+    keys = ("epoch", "step", "l_srul", "l_trul", "l_wd", "total", "mean_u")
+    assert log_rows == [dict(zip(keys, row)) for row in rows]
+    assert _param_digest(model) == digest
+    for row in log_rows:
+        assert row["total"] == pytest.approx(
+            row["l_srul"] + cfg.beta * row["l_trul"] + cfg.gamma * row["l_wd"], rel=1e-12)
