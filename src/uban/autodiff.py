@@ -16,7 +16,7 @@ __all__ = [
     "add", "sub", "neg", "mul", "div", "matmul", "concat", "slice_",
     "gather_rows", "tensor_sum", "tensor_mean", "reduce_max",
     "reduce_min", "exp", "log", "sigmoid", "tanh", "softplus", "square",
-    "clip", "softmax", "log_softmax", "backward", "grad_check",
+    "clip", "softmax", "log_softmax", "gru_cell", "backward", "grad_check",
 ]
 
 
@@ -296,10 +296,14 @@ def log(a):
     return _make(out_data, (a,), back, "log")
 
 
+def _sigmoid(x):
+    with np.errstate(over="ignore"):  # exp overflow saturates to exactly 0
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a):
     a = _as_tensor(a)
-    with np.errstate(over="ignore"):  # exp overflow saturates to exactly 0
-        out_data = 1.0 / (1.0 + np.exp(-a.data))
+    out_data = _sigmoid(a.data)
 
     def back(g):
         _accumulate(a, g * out_data * (1.0 - out_data))
@@ -375,6 +379,51 @@ def log_softmax(a, axis=-1):
         _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True))
 
     return _make(out_data, (a,), back, "log_softmax")
+
+
+# ---------------------------------------------------------------------------
+# fused recurrent cell
+
+def gru_cell(x, h, Wz, Uz, bz, Wr, Ur, br, Wn, Un, bn):
+    """One GRU step (Cho et al. 2014) as a single node: h' = (1 - z) * n + z * h.
+
+    The forward evaluates the same numpy expressions, in the same order, as
+    the composite of matmul/add/sigmoid/tanh/mul nodes, so its output is
+    bit-identical to that graph.  The backward is closed form.
+    """
+    x, h, Wz, Uz, bz, Wr, Ur, br, Wn, Un, bn = inputs = [
+        _as_tensor(t) for t in (x, h, Wz, Uz, bz, Wr, Ur, br, Wn, Un, bn)]
+    xd, hd = x.data, h.data
+    if xd.ndim != 2 or hd.ndim != 2 or xd.shape[0] != hd.shape[0]:
+        raise ShapeMismatch(f"gru_cell: x {xd.shape} and h {hd.shape}")
+    H = hd.shape[1]
+    for t, shape in zip(inputs[2:], ((xd.shape[1], H), (H, H), (1, H)) * 3):
+        if t.data.shape != shape:
+            raise ShapeMismatch(f"gru_cell: weight of shape {t.data.shape}, "
+                                f"expected {shape}")
+    z = _sigmoid(xd @ Wz.data + hd @ Uz.data + bz.data)
+    r = _sigmoid(xd @ Wr.data + hd @ Ur.data + br.data)
+    rh = r * hd
+    n = np.tanh(xd @ Wn.data + rh @ Un.data + bn.data)
+    keep = 1.0 + -z
+    out_data = keep * n + z * hd
+
+    def back(g):
+        dn = g * keep * (1.0 - n * n)
+        dz = g * (hd - n) * z * keep
+        drh = dn @ Un.data.T
+        dr = drh * hd * r * (1.0 - r)
+        for W, U, b, d, u_in in ((Wz, Uz, bz, dz, hd), (Wr, Ur, br, dr, hd),
+                                 (Wn, Un, bn, dn, rh)):
+            _accumulate(W, xd.T @ d)
+            _accumulate(U, u_in.T @ d)
+            _accumulate(b, d.sum(axis=0, keepdims=True))
+        if h.requires_grad:
+            _accumulate(h, g * z + drh * r + dz @ Uz.data.T + dr @ Ur.data.T)
+        if x.requires_grad:
+            _accumulate(x, dz @ Wz.data.T + dr @ Wr.data.T + dn @ Wn.data.T)
+
+    return _make(out_data, inputs, back, "gru_cell")
 
 
 # ---------------------------------------------------------------------------

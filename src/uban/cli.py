@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -189,7 +190,9 @@ def cmd_train(args):
 
     model, log_rows = train(config, corpus, store, vocab,
                             log_path=out / "train_log.jsonl")
-    save_checkpoint(out / "model.ckpt", model, meta={"seed": config.seed})
+    save_checkpoint(out / "model.ckpt", model, meta={
+        "seed": config.seed, "tau_o": config.tau_o, "tau_a": config.tau_a,
+        "delta": config.delta, "tau_a_grid": list(config.tau_a_grid)})
     outputs = [out / "train_log.jsonl", out / "model.ckpt"]
     inputs = [args.annotations, args.features, args.verbs, args.nouns]
     if args.config:
@@ -197,6 +200,40 @@ def cmd_train(args):
     _write_manifest(out, "train", vars(config) | {"tau_a_grid": list(config.tau_a_grid)},
                     args.seed, inputs, outputs)
     return EXIT_OK
+
+
+_WINDOW_KEYS = ("tau_o", "tau_a", "delta", "tau_a_grid")
+
+
+def _checkpoint_window(meta, path):
+    """The anticipation window the checkpoint was trained with.
+
+    Checkpoints written before the window was recorded get the defaults,
+    with a warning; a recorded window that is incomplete or invalid is a
+    DataError.
+    """
+    if not any(key in meta for key in _WINDOW_KEYS):
+        window = TrainConfig().window()
+        print(f"warning: {path} does not record its training window; evaluating at "
+              f"the default tau_o={window.tau_o}, tau_a={window.tau_a}, "
+              f"delta={window.delta}", file=sys.stderr)
+        return window
+
+    def number(v):
+        return type(v) in (int, float) and math.isfinite(v)
+
+    values = {key: meta.get(key) for key in _WINDOW_KEYS}
+    grid = values["tau_a_grid"]
+    try:
+        if not (all(number(values[key]) for key in _WINDOW_KEYS[:3])
+                and isinstance(grid, list) and len(grid) >= 2 and all(map(number, grid))
+                and all(b < a for a, b in zip(grid, grid[1:]))):
+            raise DataError("expected finite numbers and a decreasing tau_a grid")
+        return TrainConfig(tau_o=values["tau_o"], tau_a=values["tau_a"],
+                           delta=values["delta"], tau_a_grid=tuple(grid)).window()
+    except DataError as exc:
+        raise DataError(f"{path}: invalid window {values} in checkpoint meta: "
+                        f"{exc}") from None
 
 
 def _eval_forward(model, corpus, store, window, tau_a):
@@ -221,7 +258,7 @@ def cmd_eval(args):
     if store.dim != model.feature_dim:
         raise DataError(f"feature dim {store.dim} does not match checkpoint "
                         f"dim {model.feature_dim}")
-    window = TrainConfig(seed=args.seed).window()
+    window = _checkpoint_window(meta, args.checkpoint)
     probs, uncs, truths = _eval_forward(model, corpus, store, window, args.tau_a)
     outputs = []
 

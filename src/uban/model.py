@@ -97,14 +97,8 @@ def _init_gru(rng, d_in, d_h, prefix):
 
 
 def _gru_step(params, prefix, x, h):
-    z = ad.sigmoid(ad.matmul(x, params[f"{prefix}.Wz"])
-                   + ad.matmul(h, params[f"{prefix}.Uz"]) + params[f"{prefix}.bz"])
-    r = ad.sigmoid(ad.matmul(x, params[f"{prefix}.Wr"])
-                   + ad.matmul(h, params[f"{prefix}.Ur"]) + params[f"{prefix}.br"])
-    n = ad.tanh(ad.matmul(x, params[f"{prefix}.Wn"])
-                + ad.matmul(r * h, params[f"{prefix}.Un"]) + params[f"{prefix}.bn"])
-    one = Tensor(1.0)
-    return (one - z) * n + z * h
+    return ad.gru_cell(x, h, *(params[f"{prefix}.{kind}{gate}"]
+                               for gate in "zrn" for kind in "WUb"))
 
 
 class GruBackbone:
@@ -120,6 +114,25 @@ class GruBackbone:
         self.params["dec.Wout"] = _uniform_init(rng, (hidden_dim, feature_dim), hidden_dim)
         self.params["dec.bout"] = Tensor(np.zeros((1, feature_dim)), requires_grad=True)
 
+    def encode(self, steps):
+        """Hidden state after each observed snippet; steps: list of (B, d) tensors."""
+        h = Tensor(np.zeros((steps[0].data.shape[0], self.hidden_dim)))
+        states = []
+        for x in steps:
+            h = _gru_step(self.params, "enc", x, h)
+            states.append(h)
+        return states
+
+    def decode(self, h, x, n_a):
+        """One anticipated (B, d) feature per step, starting from hidden state h
+        and the last observed snippet x; each step feeds its feature back in."""
+        anticipated = []
+        for _ in range(n_a):
+            h = _gru_step(self.params, "dec", x, h)
+            x = ad.matmul(h, self.params["dec.Wout"]) + self.params["dec.bout"]
+            anticipated.append(x)
+        return anticipated
+
     def anticipate(self, observed, n_a):
         """observed: (B, n_o, d) array or list of (B, d) tensors."""
         if isinstance(observed, np.ndarray):
@@ -131,20 +144,8 @@ class GruBackbone:
             steps = list(observed)
         if not steps:
             raise ad.ShapeMismatch("backbone needs at least one observed snippet")
-
-        B = steps[0].data.shape[0]
-        h = Tensor(np.zeros((B, self.hidden_dim)))
-        for x in steps:
-            h = _gru_step(self.params, "enc", x, h)
-
-        anticipated = []
-        x = steps[-1]
-        for _ in range(n_a):
-            h = _gru_step(self.params, "dec", x, h)
-            feat = ad.matmul(h, self.params["dec.Wout"]) + self.params["dec.bout"]
-            anticipated.append(feat)
-            x = feat
-        return BackboneOutput(anticipated=anticipated)
+        states = self.encode(steps)
+        return BackboneOutput(anticipated=self.decode(states[-1], steps[-1], n_a))
 
 
 def _init_heads(rng, feature_dim, num_classes):

@@ -142,14 +142,23 @@ def _mixed_log_probs(model, anticipated, heads):
 
 
 def _family_uncertainty(model, batch_families):
-    """(F, M) pooled uncertainties, each member at its final anticipation step."""
-    M = len(batch_families[0].members)
+    """(F, M) pooled uncertainties, each member at its final anticipation step.
+
+    The members of a family observe prefix-extensions of one sequence
+    (data.family_batches), so the longest observation is encoded once and
+    each member decodes from the hidden state after its own last snippet.
+    """
+    per_member = list(zip(*(fam.members for fam in batch_families)))  # M tuples of F
+    longest = max(per_member, key=lambda samples: len(samples[0].observed))
+    observed = np.stack([s.observed for s in longest])
+    steps = [Tensor(observed[:, t, :]) for t in range(observed.shape[1])]
+    states = model.backbone.encode(steps)
     columns = []
-    for m in range(M):
-        observed = np.stack([fam.members[m].observed for fam in batch_families])
-        n_a = batch_families[0].members[m].window.n_a
-        out = model.backbone.anticipate(observed, n_a)
-        head = dual_heads(out.anticipated[-1], model.head_params, model.pooling)
+    for samples in per_member:
+        n_o = len(samples[0].observed)
+        anticipated = model.backbone.decode(states[n_o - 1], steps[n_o - 1],
+                                            samples[0].window.n_a)
+        head = dual_heads(anticipated[-1], model.head_params, model.pooling)
         columns.append(head.uncertainty.scalar)
     return ad.concat(columns, axis=1)
 

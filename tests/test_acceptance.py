@@ -31,7 +31,7 @@ from uban.losses import (adjust_distribution, anticipation_loss, mix_features,
                          permutation_probability, relative_weights, srul_loss,
                          trul_loss, trul_loss_batched, wd_loss)
 from uban.model import AnticipationModel, dual_heads
-from uban.train import TrainConfig, evaluate_model, train
+from uban.train import TrainConfig, _family_uncertainty, evaluate_model, train
 
 SEEDS = (0, 1, 2)
 DESK_EPOCHS = 40
@@ -457,15 +457,7 @@ def test_criterion_9_temporal_ordering(trained_runs):
         families, _ = family_batches(run["test_corpus"], run["syn"].store,
                                      run["window"], grid)
         assert families, "no held-out families"
-        columns = []
-        for m in range(len(grid)):
-            observed = np.stack([fam.members[m].observed for fam in families])
-            out = run["model"].backbone.anticipate(
-                observed, families[0].members[m].window.n_a)
-            h = dual_heads(out.anticipated[-1], run["model"].head_params,
-                           run["model"].pooling)
-            columns.append(h.uncertainty.scalar.data[:, 0])
-        u_mat = np.stack(columns, axis=1)
+        u_mat = _family_uncertainty(run["model"], families).data
         means.append(float(np.mean([kendall_tau(row) for row in u_mat])))
     overall = float(np.mean(means))
     ok = overall > 0

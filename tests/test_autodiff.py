@@ -137,3 +137,42 @@ def test_clip_gradient_masks_outside():
     x = Tensor([-5.0, 0.5, 5.0], requires_grad=True)
     backward(ad.tensor_sum(ad.clip(x, 0.0, 1.0)))
     assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
+
+
+def _gru_inputs(rng, batch, d_in=3, hidden=4):
+    weights = []
+    for _ in "zrn":
+        weights += [rng.normal(size=(d_in, hidden)), rng.normal(size=(hidden, hidden)),
+                    rng.normal(size=(1, hidden))]
+    return [Tensor(a) for a in [rng.normal(size=(batch, d_in)),
+                                rng.normal(size=(batch, hidden)), *weights]]
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_grad_check_gru_cell(batch):
+    rng = np.random.default_rng(12 + batch)
+    inputs = _gru_inputs(rng, batch)
+    probe = Tensor(rng.normal(size=(batch, 4)))
+
+    def loss(*ts):
+        return ad.tensor_sum(ad.gru_cell(*ts) * probe)
+
+    assert grad_check(loss, inputs, step=1e-6) < 1e-7
+
+
+def test_gru_cell_skips_gradients_of_data_inputs():
+    x, h, *weights = _gru_inputs(np.random.default_rng(4), 2)
+    for w in weights:
+        w.requires_grad = True
+    backward(ad.tensor_sum(ad.gru_cell(x, h, *weights)))
+    assert x.grad is None and h.grad is None
+    assert all(w.grad is not None and w.grad.shape == w.data.shape for w in weights)
+
+
+def test_gru_cell_shape_mismatch():
+    x, h, *weights = _gru_inputs(np.random.default_rng(4), 2)
+    with pytest.raises(ShapeMismatch, match="gru_cell"):
+        ad.gru_cell(x, Tensor(np.zeros((3, 4))), *weights)
+    weights[4] = Tensor(np.zeros((4, 5)))
+    with pytest.raises(ShapeMismatch, match="gru_cell"):
+        ad.gru_cell(x, h, *weights)

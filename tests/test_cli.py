@@ -4,6 +4,10 @@ from pathlib import Path
 import pytest
 
 from uban.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from uban.cooccur import corpus_from_rows, read_annotations, read_vocabulary
+from uban.data import read_feature_csv
+from uban.model import AnticipationWindow, load_checkpoint, save_checkpoint
+from uban.train import evaluate_model
 
 
 def run(*argv):
@@ -186,7 +190,7 @@ CHECKPOINT_DAMAGE = {
     "magic": (lambda b: b"NOTACKPT" + b[8:], "not a checkpoint file"),
     "version": (lambda b: b[:8] + (2).to_bytes(4, "little") + b[12:],
                 "unsupported checkpoint version 2"),
-    "meta_json": (lambda b: _corrupt(b, b'{"feature_dim"', b'{"feature_dim '),
+    "meta_json": (lambda b: _corrupt(b, b'"feature_dim"', b'"feature_dim '),
                   "meta is not UTF-8 JSON"),
     "meta_layout": (lambda b: _corrupt(b, b'"pooling": "mean"', b'"pooling": "mode"'),
                     "meta lacks a valid model layout"),
@@ -254,4 +258,65 @@ def test_non_finite_features_rejected_by_eval(gen_dir, train_dir, nan_features, 
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert f"video {video}: non-finite" in err
+    assert not (tmp_path / "e" / "metrics.json").exists()
+
+
+def _eval_noise_mean_u(gen_dir, checkpoint, out, capsys):
+    code = run("--out", out, "eval", *corpus_args(gen_dir),
+               "--features", gen_dir / "features.csv", "--checkpoint", checkpoint,
+               "--mode", "noise", "--etas", 0)
+    assert code == EXIT_OK
+    rows = (out / "noise.csv").read_text().splitlines()
+    return float(rows[1].split(",")[2]), capsys.readouterr().err
+
+
+def test_eval_uses_the_window_of_the_checkpoint(gen_dir, tmp_path, capsys):
+    config = tmp_path / "short.cfg"
+    config.write_text("tau_o = 1.0\nepochs = 1\nbatch_size = 16\n")
+    train_out = tmp_path / "t"
+    assert run("--config", config, "--out", train_out, "train", *corpus_args(gen_dir),
+               "--features", gen_dir / "features.csv") == EXIT_OK
+    model, meta = load_checkpoint(train_out / "model.ckpt")
+    assert (meta["tau_o"], meta["tau_a"], meta["delta"]) == (1.0, 2.0, 0.25)
+    assert meta["tau_a_grid"] == [2.0, 1.5, 1.0, 0.5]
+
+    mean_u, err = _eval_noise_mean_u(gen_dir, train_out / "model.ckpt",
+                                     tmp_path / "e", capsys)
+    assert "warning" not in err
+    vocab = read_vocabulary(gen_dir / "verbs.csv", gen_dir / "nouns.csv")
+    corpus = corpus_from_rows(read_annotations(gen_dir / "annotations.csv"), vocab)
+    store = read_feature_csv(gen_dir / "features.csv")
+    expected = {}
+    for tau_o in (1.0, 1.5):
+        window = AnticipationWindow(tau_o=tau_o, tau_a=2.0, delta=0.25)
+        _, uncs, _ = evaluate_model(model, corpus, store, window)
+        expected[tau_o] = float(uncs[:, window.anticipation_taus().index(1.0)].mean())
+    assert mean_u == expected[1.0] != expected[1.5]
+
+
+def test_eval_of_checkpoint_without_window_warns(gen_dir, train_dir, tmp_path, capsys):
+    model, _ = load_checkpoint(train_dir / "model.ckpt")
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(old, model, meta={"seed": 0})
+    mean_u, err = _eval_noise_mean_u(gen_dir, old, tmp_path / "old", capsys)
+    assert err.count("warning:") == 1 and "does not record its training window" in err
+    assert mean_u == _eval_noise_mean_u(gen_dir, train_dir / "model.ckpt",
+                                        tmp_path / "new", capsys)[0]
+
+
+@pytest.mark.parametrize("window", [
+    {"tau_o": 1.3}, {"delta": 0}, {"delta": None}, {"tau_a": float("nan")},
+    {"tau_o": "1.5"}, {"tau_a_grid": [1.0, 2.0]}, {"tau_a_grid": None},
+])
+def test_invalid_checkpoint_window_is_data_error(gen_dir, train_dir, tmp_path, capsys,
+                                                 window):
+    model, meta = load_checkpoint(train_dir / "model.ckpt")
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, model, meta=meta | window)
+    code = run("--out", tmp_path / "e", "eval", *corpus_args(gen_dir),
+               "--features", gen_dir / "features.csv", "--checkpoint", bad,
+               "--mode", "metrics")
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "Traceback" not in err and "invalid window" in err
     assert not (tmp_path / "e" / "metrics.json").exists()

@@ -4,7 +4,7 @@ import pytest
 from uban import autodiff as ad
 from uban.autodiff import Tensor
 from uban.model import (U_CEILING, U_FLOOR, AnticipationModel,
-                        AnticipationWindow, GruBackbone, dual_heads,
+                        AnticipationWindow, GruBackbone, _gru_step, dual_heads,
                         load_checkpoint, mc_dropout_forward, save_checkpoint)
 
 
@@ -62,6 +62,43 @@ def test_backbone_same_seed_bitwise_identical():
         out = backbone.anticipate(obs, n_a=3)
         outs.append(np.stack([f.data for f in out.anticipated]))
     assert np.array_equal(outs[0], outs[1])
+
+
+def _composite_gru_step(params, prefix, x, h):
+    """The GRU step as a graph of elementary ops: the reference for the fused cell."""
+    z = ad.sigmoid(ad.matmul(x, params[f"{prefix}.Wz"])
+                   + ad.matmul(h, params[f"{prefix}.Uz"]) + params[f"{prefix}.bz"])
+    r = ad.sigmoid(ad.matmul(x, params[f"{prefix}.Wr"])
+                   + ad.matmul(h, params[f"{prefix}.Ur"]) + params[f"{prefix}.br"])
+    n = ad.tanh(ad.matmul(x, params[f"{prefix}.Wn"])
+                + ad.matmul(r * h, params[f"{prefix}.Un"]) + params[f"{prefix}.bn"])
+    one = Tensor(1.0)
+    return (one - z) * n + z * h
+
+
+@pytest.mark.parametrize("prefix", ["enc", "dec"])
+def test_fused_gru_step_matches_composite(prefix):
+    rng = np.random.default_rng(8)
+    backbone = GruBackbone(5, 7, rng=rng)
+    cell = [backbone.params[f"{prefix}.{kind}{gate}"] for gate in "zrn" for kind in "WUb"]
+    for t in cell:
+        t.data = rng.normal(scale=0.5, size=t.data.shape)
+    x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    h = Tensor(rng.normal(size=(3, 7)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(3, 7)))
+    inputs = [x, h, *cell]
+    outs, grads = [], []
+    for step in (_gru_step, _composite_gru_step):
+        for t in inputs:
+            t.grad = None
+        out = step(backbone.params, prefix, x, h)
+        ad.backward(ad.tensor_sum(out * probe))
+        outs.append(out.data)
+        grads.append([t.grad for t in inputs])
+    assert np.array_equal(outs[0], outs[1])
+    for fused, composite in zip(*grads):
+        np.testing.assert_allclose(fused, composite, rtol=1e-12,
+                                   atol=1e-12 * np.abs(composite).max())
 
 
 def test_uncertainty_vector_positive_and_scalar_clamped():
