@@ -3,9 +3,12 @@
 Define-by-run: every op records its parents and a backward closure on the
 output tensor, so the graph is rebuilt on each forward pass.  Backward is a
 deterministic topological sweep, which makes gradients bitwise reproducible.
+Inside ``no_grad()`` ops compute the same values but record no graph.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -17,6 +20,7 @@ __all__ = [
     "gather_rows", "tensor_sum", "tensor_mean", "reduce_max",
     "reduce_min", "exp", "log", "sigmoid", "tanh", "softplus", "square",
     "clip", "softmax", "log_softmax", "gru_cell", "backward", "grad_check",
+    "no_grad",
 ]
 
 
@@ -89,7 +93,23 @@ def _accumulate(t, g):
         t.grad = t.grad + g
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording parents or backward closures (inference)."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data, parents, backward_fn, op):
+    if not _grad_enabled:
+        return Tensor(data, op=op)
     requires = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=requires, _parents=tuple(parents),
                   _backward=backward_fn if requires else None, op=op)

@@ -405,7 +405,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalFailure as exc:

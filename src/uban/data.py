@@ -282,24 +282,43 @@ def write_feature_csv(store, path):
 
 
 def read_feature_csv(path):
+    """Plain comma-separated features, as write_feature_csv writes them:
+    a `video_id,snippet_idx,f0,...` header, then one unquoted row per snippet.
+
+    The value columns are parsed in one numpy call; any malformed part of the
+    file raises DataError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    header = lines[0].split(",")
+    if header[:2] != ["video_id", "snippet_idx"] or len(header) < 3:
+        raise DataError(f"{path}: bad feature header {header}")
+    dim = len(header) - 2
+    body = lines[1:-1] if lines[-1] == "" else lines[1:]
     rows = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["video_id", "snippet_idx"]:
-            raise DataError(f"{path}: bad feature header {header}")
-        dim = len(header) - 2
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != dim + 2:
-                raise DataError(f"{path}:{lineno}: expected {dim + 2} columns")
-            rows.setdefault(row[0], []).append((int(row[1]), [float(x) for x in row[2:]]))
+    for lineno, line in enumerate(body, start=2):
+        if line.count(",") != dim + 1:
+            raise DataError(f"{path}:{lineno}: expected {dim + 2} columns")
+        vid, idx, _ = line.split(",", 2)
+        try:
+            rows.setdefault(vid, []).append((int(idx), lineno - 2))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: snippet_idx {idx!r} is not an integer") from None
+    try:
+        values = np.loadtxt(body, delimiter=",", usecols=range(2, dim + 2), comments=None,
+                            dtype=np.float64, ndmin=2) if body else np.empty((0, dim))
+    except ValueError as exc:
+        raise DataError(f"{path}: non-numeric feature value: {exc} "
+                        f"(row 0 is line 2)") from None
     features = {}
     for vid, entries in rows.items():
         entries.sort()
-        indices = [i for i, _ in entries]
-        if indices != list(range(len(indices))):
+        if [i for i, _ in entries] != list(range(len(entries))):
             raise DataError(f"{path}: video {vid} snippet indices not contiguous from 0")
-        features[vid] = np.array([vals for _, vals in entries])
+        features[vid] = values[[r for _, r in entries]]
     return FeatureStore(features=features, dim=dim, source="ingested")
 
 

@@ -206,22 +206,31 @@ class AnticipationModel:
         return out, heads
 
     def predict(self, observed, n_a):
-        """Temperature-adjusted probabilities and pooled uncertainties (numpy)."""
-        _, heads = self.forward(observed, n_a)
-        probs, unc = [], []
-        for h in heads:
-            adjusted = ad.softmax(h.logits / h.uncertainty.scalar, axis=1)
-            probs.append(adjusted.data)
-            unc.append(h.uncertainty.scalar.data[:, 0])
+        """Temperature-adjusted probabilities and pooled uncertainties (numpy).
+
+        Runs without a tape: nothing is recorded for backward.
+        """
+        with ad.no_grad():
+            _, heads = self.forward(observed, n_a)
+            probs = [_adjusted_probs(h) for h in heads]
+        unc = [h.uncertainty.scalar.data[:, 0] for h in heads]
         return np.stack(probs, axis=1), np.stack(unc, axis=1)  # (B, n_a, C), (B, n_a)
 
 
-def mc_dropout_forward(model, observed, n_a, passes, drop_rate, seed=0):
-    """Repeat the forward pass with Bernoulli masks on the anticipated features.
+def _adjusted_probs(head):
+    """softmax(logits / pooled uncertainty) of one DualHeadOutput, as numpy."""
+    return ad.softmax(head.logits / head.uncertainty.scalar, axis=1).data
 
-    Returns the per-pass adjusted probabilities, their mean, and a mutual-
-    information style model-uncertainty estimate: entropy of the mean
-    distribution minus the mean per-pass entropy, averaged over steps.
+
+def mc_dropout_forward(model, observed, n_a, passes, drop_rate, seed=0):
+    """Repeat the heads with Bernoulli masks on the anticipated features.
+
+    The masks act after the backbone, so one backbone pass serves every
+    dropout pass; masks are drawn pass by pass, step by step.  Returns the
+    mean adjusted probabilities (B, n_a, C) and a mutual-information style
+    model-uncertainty estimate: entropy of the mean distribution minus the
+    mean per-pass entropy, averaged over samples and steps.  Memory does not
+    grow with the number of passes: only running sums are kept.
     """
     if passes < 2:
         raise ValueError("passes must be >= 2")
@@ -229,29 +238,24 @@ def mc_dropout_forward(model, observed, n_a, passes, drop_rate, seed=0):
         raise ValueError("drop_rate must be in (0, 1)")
     rng = np.random.default_rng(seed)
     keep = 1.0 - drop_rate
-    all_probs = []
-    for _ in range(passes):
-        out = model.backbone.anticipate(observed, n_a)
-        step_probs = []
-        for feat in out.anticipated:
-            mask = (rng.random(feat.data.shape) < keep) / keep
-            dropped = feat * Tensor(mask)
-            head = dual_heads(dropped, model.head_params, model.pooling)
-            adjusted = ad.softmax(head.logits / head.uncertainty.scalar, axis=1)
-            step_probs.append(adjusted.data)
-        all_probs.append(np.stack(step_probs, axis=1))
-    all_probs = np.stack(all_probs, axis=0)  # (passes, B, n_a, C)
-
-    mean_probs = all_probs.mean(axis=0)
     eps = 1e-12
+    prob_sum = entropy_sum = 0.0
+    with ad.no_grad():
+        anticipated = model.backbone.anticipate(observed, n_a).anticipated
+        for _ in range(passes):
+            probs = []
+            for feat in anticipated:
+                mask = (rng.random(feat.data.shape) < keep) / keep
+                head = dual_heads(feat * Tensor(mask), model.head_params, model.pooling)
+                probs.append(_adjusted_probs(head))
+            probs = np.stack(probs, axis=1)  # (B, n_a, C)
+            prob_sum += probs
+            entropy_sum -= (probs * np.log(probs + eps)).sum(axis=-1)
+
+    mean_probs = prob_sum / passes
     entropy_of_mean = -(mean_probs * np.log(mean_probs + eps)).sum(axis=-1)
-    mean_of_entropy = -(all_probs * np.log(all_probs + eps)).sum(axis=-1).mean(axis=0)
-    model_uncertainty = float((entropy_of_mean - mean_of_entropy).mean())
-    return {
-        "per_pass_probs": all_probs,
-        "mean_probs": mean_probs,
-        "model_uncertainty": model_uncertainty,
-    }
+    model_uncertainty = float((entropy_of_mean - entropy_sum / passes).mean())
+    return {"mean_probs": mean_probs, "model_uncertainty": model_uncertainty}
 
 
 # ---------------------------------------------------------------------------

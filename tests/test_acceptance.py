@@ -457,7 +457,8 @@ def test_criterion_9_temporal_ordering(trained_runs):
         families, _ = family_batches(run["test_corpus"], run["syn"].store,
                                      run["window"], grid)
         assert families, "no held-out families"
-        u_mat = _family_uncertainty(run["model"], families).data
+        with ad.no_grad():
+            u_mat = _family_uncertainty(run["model"], families).data
         means.append(float(np.mean([kendall_tau(row) for row in u_mat])))
     overall = float(np.mean(means))
     ok = overall > 0

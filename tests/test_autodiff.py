@@ -22,6 +22,35 @@ def test_matmul_identity():
     assert np.array_equal(out.data, A)
 
 
+def test_no_grad_records_no_parents():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    x = Tensor(np.full((1, 2), 3.0))
+    with_tape = ad.softmax(ad.matmul(x, w) * 2.0)
+    with ad.no_grad():
+        out = ad.softmax(ad.matmul(x, w) * 2.0)
+    assert np.array_equal(out.data, with_tape.data)
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    assert with_tape.requires_grad and with_tape._parents
+
+
+def test_no_grad_nests_and_restores():
+    w = Tensor(np.ones(2), requires_grad=True)
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not (w * w).requires_grad
+        assert not (w * w).requires_grad
+    assert (w * w).requires_grad
+
+
+def test_no_grad_restores_after_exception():
+    w = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(ShapeMismatch):
+        with ad.no_grad():
+            ad.add(w, Tensor(np.ones(3)))
+    out = w * w
+    assert out.requires_grad and out._parents
+
+
 def test_matmul_shape_mismatch_names_op():
     with pytest.raises(ShapeMismatch, match="matmul"):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))

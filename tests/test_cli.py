@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -261,6 +262,44 @@ def test_non_finite_features_rejected_by_eval(gen_dir, train_dir, nan_features, 
     assert not (tmp_path / "e" / "metrics.json").exists()
 
 
+def _damage_line(text, lineno, column, value):
+    lines = text.splitlines()
+    fields = lines[lineno].split(",")
+    fields[column] = value
+    lines[lineno] = ",".join(fields)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# each case breaks one input file of train: (file, damage, expected message)
+INPUT_DAMAGE = {
+    "non_numeric_feature": ("features.csv", lambda t: _damage_line(t, 5, 3, "1.0x"),
+                            "non-numeric feature value"),
+    "non_integer_snippet_idx": ("features.csv", lambda t: _damage_line(t, 5, 1, "four"),
+                                "features.csv:6: snippet_idx 'four' is not an integer"),
+    "features_not_utf8": ("features.csv",
+                          lambda t: t.encode("utf-8").replace(b"vid0001", b"vid\xff001", 1),
+                          "not UTF-8"),
+    "annotations_not_utf8": ("annotations.csv",
+                             lambda t: t.encode("utf-8").replace(b"vid0001", b"vid\xfe001", 1),
+                             "can't decode byte 0xfe"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(INPUT_DAMAGE))
+def test_malformed_input_is_data_error(gen_dir, tmp_path, capsys, damage):
+    name, corrupt, message = INPUT_DAMAGE[damage]
+    inputs = {n: gen_dir / n for n in ("annotations.csv", "features.csv")}
+    inputs[name] = tmp_path / name
+    inputs[name].write_bytes(corrupt((gen_dir / name).read_text(encoding="utf-8")))
+    code = run("--out", tmp_path / "t", "train", "--annotations", inputs["annotations.csv"],
+               "--verbs", gen_dir / "verbs.csv", "--nouns", gen_dir / "nouns.csv",
+               "--features", inputs["features.csv"], "--epochs", 1)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "Traceback" not in err and message in err
+    assert not (tmp_path / "t" / "model.ckpt").exists()
+
+
 def _eval_noise_mean_u(gen_dir, checkpoint, out, capsys):
     code = run("--out", out, "eval", *corpus_args(gen_dir),
                "--features", gen_dir / "features.csv", "--checkpoint", checkpoint,
@@ -320,3 +359,24 @@ def test_invalid_checkpoint_window_is_data_error(gen_dir, train_dir, tmp_path, c
     assert code == EXIT_DATA
     assert "Traceback" not in err and "invalid window" in err
     assert not (tmp_path / "e" / "metrics.json").exists()
+
+
+# sha256 of the eval reports on the fixture corpus; mcdropout uses 50 passes
+EVAL_DIGESTS = {
+    "metrics": ("metrics.json",
+                "878b20742191c660ad2064eef71c109f1f1d3c5e36270fa3ac22f12e1d9dfee2"),
+    "mcdropout": ("mcdropout.json",
+                  "67e9c7f6e4b52aa5d5111f39f1333d158155b3b789b18a5037fe31f81509e840"),
+    "noise": ("noise.csv",
+              "8e61ef987dfd5eb578b509660fdf302694aa521e26b351ee9f81e6ea869b0fa6"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(EVAL_DIGESTS))
+def test_eval_outputs_pinned(gen_dir, train_dir, tmp_path, mode):
+    name, digest = EVAL_DIGESTS[mode]
+    out = tmp_path / mode
+    assert run("--out", out, "eval", *corpus_args(gen_dir),
+               "--features", gen_dir / "features.csv",
+               "--checkpoint", train_dir / "model.ckpt", "--mode", mode) == EXIT_OK
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest

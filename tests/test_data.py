@@ -1,5 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uban.cooccur import (AnnotationCorpus, DataError, Segment, Video,
                           build_internal_matrix)
@@ -229,3 +233,91 @@ def test_feature_csv_round_trip(tmp_path):
     write_feature_csv(store, path)
     loaded = read_feature_csv(path)
     assert np.array_equal(loaded.features["v0"], store.features["v0"])
+
+
+def test_feature_csv_rows_in_any_order(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("video_id,snippet_idx,f0,f1\n"
+                    "b,1,1.5,-2\nA,0,3e-3,4\nb,0,0.25,7\n", encoding="utf-8")
+    store = read_feature_csv(path)
+    assert list(store.features) == ["b", "A"] and store.dim == 2
+    assert np.array_equal(store.features["b"], [[0.25, 7.0], [1.5, -2.0]])
+    assert np.array_equal(store.features["A"], [[3e-3, 4.0]])
+    path.write_text("video_id,snippet_idx,f0\n", encoding="utf-8")
+    assert read_feature_csv(path).features == {}
+
+
+FEATURE_CSV_DEFECTS = {
+    "header": (b"video,snippet_idx,f0\nv,0,1.0\n", "bad feature header"),
+    "no_feature_columns": (b"video_id,snippet_idx\nv,0\n", "bad feature header"),
+    "empty": (b"", "bad feature header"),
+    "short_row": (b"video_id,snippet_idx,f0,f1\nv,0,1,2\nv,1,3\n",
+                  "features.csv:3: expected 4 columns"),
+    "blank_line": (b"video_id,snippet_idx,f0\nv,0,1\n\nv,1,2\n",
+                   "features.csv:3: expected 3 columns"),
+    "gap": (b"video_id,snippet_idx,f0\nv,0,1\nv,2,2\n", "not contiguous"),
+    "duplicate": (b"video_id,snippet_idx,f0\nv,0,1\nv,0,2\n", "not contiguous"),
+    "non_finite": (b"video_id,snippet_idx,f0\nv,0,1\nv,1,inf\n", "non-finite"),
+    "non_numeric": (b"video_id,snippet_idx,f0\nv,0,1\nv,1,abc\n", "non-numeric"),
+    "non_integer_index": (b"video_id,snippet_idx,f0\nv,0,1\nv,1.5,2\n",
+                          "features.csv:3: snippet_idx '1.5' is not an integer"),
+    "not_utf8": (b"video_id,snippet_idx,f0\nv\xff,0,1\n", "not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(FEATURE_CSV_DEFECTS))
+def test_feature_csv_defects_are_data_errors(tmp_path, defect):
+    blob, message = FEATURE_CSV_DEFECTS[defect]
+    path = tmp_path / "features.csv"
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match=message):
+        read_feature_csv(path)
+
+
+def _read_feature_bytes(blob):
+    """read_feature_csv on a file holding blob: a FeatureStore or a DataError."""
+    fd, path = tempfile.mkstemp(suffix=".csv")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        try:
+            store = read_feature_csv(path)
+        except DataError:
+            return None
+        assert isinstance(store, FeatureStore)
+        return store
+    finally:
+        os.unlink(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(max_size=200))
+def test_read_feature_csv_fuzz_bytes(blob):
+    _read_feature_bytes(b"video_id,snippet_idx,f0\n" + blob)
+    _read_feature_bytes(blob)
+
+
+VALID_FEATURES = (b"video_id,snippet_idx,f0,f1\r\n"
+                  b"v0,0,0.5,-1.25\r\nv0,1,2.0,3e-05\r\nv1,0,1.0,4.0\r\n")
+MUTATION_BYTES = [b",", b"\n", b"\r", b'"', b"#", b"\x00", b"\xff", b" ", b"-",
+                  b"e", b"9", b".", b"x", b"nan", b"\xc3\xa9"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                          st.integers(0, len(VALID_FEATURES) - 1),
+                          st.sampled_from(MUTATION_BYTES)), min_size=1, max_size=4))
+def test_read_feature_csv_fuzz_mutations(edits):
+    blob = VALID_FEATURES
+    for kind, pos, piece in edits:
+        pos = min(pos, len(blob))
+        if kind == "insert":
+            blob = blob[:pos] + piece + blob[pos:]
+        elif kind == "replace":
+            blob = blob[:pos] + piece + blob[pos + 1:]
+        else:
+            blob = blob[:pos] + blob[pos + 1:]
+    store = _read_feature_bytes(blob)
+    if store is not None:
+        assert all(np.isfinite(a).all() and a.shape[1] == store.dim
+                   for a in store.features.values())

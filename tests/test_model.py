@@ -142,6 +142,18 @@ def test_predict_shapes_and_row_sums():
     assert (unc >= U_FLOOR).all()
 
 
+def test_predict_matches_the_recorded_forward():
+    model = AnticipationModel(feature_dim=5, hidden_dim=6, num_classes=8, seed=1)
+    obs = np.random.default_rng(0).normal(size=(3, 4, 5))
+    probs, unc = model.predict(obs, n_a=4)
+    _, heads = model.forward(obs, n_a=4)
+    assert heads[0].logits.requires_grad
+    for k, h in enumerate(heads):
+        adjusted = ad.softmax(h.logits / h.uncertainty.scalar, axis=1)
+        assert np.array_equal(probs[:, k], adjusted.data)
+        assert np.array_equal(unc[:, k], h.uncertainty.scalar.data[:, 0])
+
+
 def test_gradient_through_backbone_and_heads():
     model = AnticipationModel(feature_dim=3, hidden_dim=4, num_classes=5, seed=7)
     obs = np.random.default_rng(5).normal(size=(2, 3, 3))
@@ -184,7 +196,8 @@ def test_mc_dropout_deterministic_and_validated():
     obs = np.random.default_rng(9).normal(size=(2, 4, 4))
     a = mc_dropout_forward(model, obs, n_a=3, passes=5, drop_rate=0.3, seed=21)
     b = mc_dropout_forward(model, obs, n_a=3, passes=5, drop_rate=0.3, seed=21)
-    assert np.array_equal(a["per_pass_probs"], b["per_pass_probs"])
+    assert np.array_equal(a["mean_probs"], b["mean_probs"])
+    assert a["model_uncertainty"] == b["model_uncertainty"]
     assert a["model_uncertainty"] >= -1e-9
     with pytest.raises(ValueError, match="passes"):
         mc_dropout_forward(model, obs, n_a=3, passes=1, drop_rate=0.3)
@@ -199,3 +212,38 @@ def test_mc_dropout_small_rate_matches_plain_forward():
     out = mc_dropout_forward(model, obs, n_a=3, passes=10, drop_rate=1e-9, seed=0)
     np.testing.assert_allclose(out["mean_probs"], plain, atol=1e-6)
     assert out["model_uncertainty"] == pytest.approx(0.0, abs=1e-6)
+
+
+def _mc_dropout_per_pass(model, observed, n_a, passes, drop_rate, seed):
+    """The original MC-dropout loop: a recorded backbone pass per dropout pass,
+    every pass's probabilities stacked, then reduced over the pass axis."""
+    rng = np.random.default_rng(seed)
+    keep = 1.0 - drop_rate
+    all_probs = []
+    for _ in range(passes):
+        out = model.backbone.anticipate(observed, n_a)
+        step_probs = []
+        for feat in out.anticipated:
+            mask = (rng.random(feat.data.shape) < keep) / keep
+            head = dual_heads(feat * Tensor(mask), model.head_params, model.pooling)
+            step_probs.append(
+                ad.softmax(head.logits / head.uncertainty.scalar, axis=1).data)
+        all_probs.append(np.stack(step_probs, axis=1))
+    all_probs = np.stack(all_probs, axis=0)  # (passes, B, n_a, C)
+    mean_probs = all_probs.mean(axis=0)
+    eps = 1e-12
+    entropy_of_mean = -(mean_probs * np.log(mean_probs + eps)).sum(axis=-1)
+    mean_of_entropy = -(all_probs * np.log(all_probs + eps)).sum(axis=-1).mean(axis=0)
+    return mean_probs, float((entropy_of_mean - mean_of_entropy).mean())
+
+
+@pytest.mark.parametrize("pooling", ["mean", "max"])
+def test_mc_dropout_matches_per_pass_oracle(pooling):
+    model = AnticipationModel(feature_dim=6, hidden_dim=5, num_classes=9,
+                              pooling=pooling, seed=4)
+    obs = np.random.default_rng(2).normal(size=(11, 3, 6))
+    out = mc_dropout_forward(model, obs, n_a=4, passes=7, drop_rate=0.25, seed=5)
+    mean_probs, model_uncertainty = _mc_dropout_per_pass(
+        model, obs, n_a=4, passes=7, drop_rate=0.25, seed=5)
+    assert np.array_equal(out["mean_probs"], mean_probs)
+    assert out["model_uncertainty"] == model_uncertainty
