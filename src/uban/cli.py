@@ -236,19 +236,6 @@ def _checkpoint_window(meta, path):
                         f"{exc}") from None
 
 
-def _eval_forward(model, corpus, store, window, tau_a):
-    probs, uncs, truths = evaluate_model(model, corpus, store, window)
-    taus = window.anticipation_taus()
-    if tau_a is None:
-        step = len(taus) - 1
-    else:
-        matches = [i for i, t in enumerate(taus) if abs(t - tau_a) < 1e-9]
-        if not matches:
-            raise DataError(f"tau_a {tau_a} not in anticipation grid {taus}")
-        step = matches[0]
-    return probs[:, step, :], uncs[:, step], truths
-
-
 def cmd_eval(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -259,7 +246,19 @@ def cmd_eval(args):
         raise DataError(f"feature dim {store.dim} does not match checkpoint "
                         f"dim {model.feature_dim}")
     window = _checkpoint_window(meta, args.checkpoint)
-    probs, uncs, truths = _eval_forward(model, corpus, store, window, args.tau_a)
+    taus = window.anticipation_taus()
+    steps = [i for i, t in enumerate(taus) if abs(t - args.tau_a) < 1e-9]
+    if not steps:
+        raise DataError(f"tau_a {args.tau_a} not in anticipation grid {taus}")
+
+    def forward(eval_store):
+        """Windows, then probabilities, uncertainties and truths at --tau-a."""
+        observed, truths, _ = window_samples(corpus, eval_store, window)
+        probs, uncs = evaluate_model(model, observed, window.n_a)
+        return observed, probs[:, steps[0], :], uncs[:, steps[0]], truths
+
+    if args.mode != "noise":  # the noise sweep evaluates eta=0 itself
+        observed, probs, uncs, truths = forward(store)
     outputs = []
 
     if args.mode == "metrics":
@@ -280,7 +279,7 @@ def cmd_eval(args):
 
     elif args.mode == "noise":
         def evaluate(noisy_store):
-            p, u, t = _eval_forward(model, corpus, noisy_store, window, args.tau_a)
+            _, p, u, t = forward(noisy_store)
             return metric_report(p, t).top5, float(u.mean())
 
         rows = noise_sweep(evaluate, store, args.etas, seed=args.seed)
@@ -317,8 +316,6 @@ def cmd_eval(args):
                                          report.sizes))))
 
     elif args.mode == "mcdropout":
-        samples, _ = window_samples(corpus, store, window)
-        observed = np.stack([s.observed for s in samples])
         result = mc_dropout_forward(model, observed, window.n_a,
                                     passes=args.passes, drop_rate=args.drop_rate,
                                     seed=args.seed)
@@ -336,6 +333,17 @@ def cmd_eval(args):
 
 
 # ---------------------------------------------------------------------------
+
+def _checked(cast, accept, what):
+    """argparse type: cast the text, then reject values outside a range."""
+    def parse(text):
+        value = cast(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    parse.__name__ = cast.__name__  # names the type in argparse's cast errors
+    return parse
+
 
 def _add_corpus_args(p):
     p.add_argument("--annotations", required=True)
@@ -387,12 +395,14 @@ def build_parser():
                    choices=["metrics", "reject", "noise", "histogram", "norms",
                             "partitions", "mcdropout"])
     p.add_argument("--tau-a", dest="tau_a", type=float, default=1.0)
-    p.add_argument("--fractions", type=float, nargs="+",
-                   default=[0.0, 0.1, 0.2, 0.3])
+    p.add_argument("--fractions", nargs="+", default=[0.0, 0.1, 0.2, 0.3],
+                   type=_checked(float, lambda r: 0.0 <= r < 1.0, "in [0, 1)"),
+                   help="ascending, each in [0, 1)")
     p.add_argument("--etas", type=float, nargs="+", default=[0.0, 1.0, 5.0, 10.0])
-    p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--passes", type=int, default=50)
-    p.add_argument("--drop-rate", dest="drop_rate", type=float, default=0.2)
+    p.add_argument("--bins", type=_checked(int, lambda n: n >= 2, ">= 2"), default=20)
+    p.add_argument("--passes", type=_checked(int, lambda n: n >= 2, ">= 2"), default=50)
+    p.add_argument("--drop-rate", dest="drop_rate", default=0.2,
+                   type=_checked(float, lambda p: 0.0 < p < 1.0, "in (0, 1)"))
     p.set_defaults(func=cmd_eval)
     return parser
 
@@ -401,6 +411,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        fractions = getattr(args, "fractions", [])
+        if fractions != sorted(fractions):
+            parser.error(f"--fractions must be ascending, got {fractions}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:

@@ -9,6 +9,7 @@ restricted to a curated relation set).
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -274,6 +275,8 @@ def read_annotations(path):
                 verb, noun = int(row["verb_id"]), int(row["noun_id"])
             except (TypeError, ValueError):
                 raise DataError(f"{path}:{lineno}: malformed row {row}")
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise DataError(f"{path}:{lineno}: non-finite start_s or stop_s in {row}")
             pair_rows.append((vid, start, stop, verb, noun))
     return pair_rows
 

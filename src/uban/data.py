@@ -18,8 +18,7 @@ from .cooccur import AnnotationCorpus, DataError, Segment, Video, Vocabulary
 from .model import AnticipationWindow
 
 __all__ = [
-    "FeatureStore", "SyntheticSpec", "SyntheticResult", "TrainSample",
-    "FamilySample", "NoiseConfig",
+    "FeatureStore", "SyntheticSpec", "SyntheticResult", "NoiseConfig",
     "window_samples", "generate_synthetic", "pair_batches", "family_batches",
     "pollute", "read_feature_csv", "write_feature_csv",
     "write_annotation_csv", "write_vocab_csv",
@@ -61,6 +60,8 @@ class SyntheticSpec:
             raise DataError("successor_entropy must be in [0, 1]")
         if self.feature_noise < 0:
             raise DataError("feature_noise must be nonnegative")
+        if self.dim < 1 or self.videos < 1 or self.segments_per_video < 1:
+            raise DataError("dim, videos and segments_per_video must be >= 1")
         ratio = self.segment_seconds / self.delta
         if abs(ratio - round(ratio)) > 1e-9:
             raise DataError("segment_seconds must be a multiple of delta")
@@ -76,27 +77,6 @@ class SyntheticResult:
 
 
 @dataclass
-class TrainSample:
-    observed: np.ndarray  # (n_o, d)
-    target_class: int
-    window: AnticipationWindow
-    video_id: str
-    segment_index: int
-
-
-@dataclass
-class FamilySample:
-    """M windows of one target instance, anticipation horizon shrinking."""
-
-    members: list[TrainSample]
-    tau_a_grid: tuple[float, ...]
-
-    @property
-    def target_class(self):
-        return self.members[0].target_class
-
-
-@dataclass
 class NoiseConfig:
     eta: float
     seed: int = 0
@@ -106,38 +86,38 @@ class NoiseConfig:
             raise DataError("eta must be nonnegative")
 
 
-def _target_snippet(start, delta):
-    return int(np.floor(start / delta + 1e-9))
+def _cut_windows(corpus, store, delta, reach, gap):
+    """feats[t - reach:t - gap] for each annotated segment whose target starts
+    at snippet t; segments without that footage are dropped and counted.
 
-
-def window_samples(corpus, store, window):
-    """One sample per annotated segment with enough preceding footage.
-
-    The observed snippets end exactly tau_a before the target segment starts;
-    segments too close to the video start are dropped (the count of drops is
-    returned alongside the samples).
+    Returns (observed (N, reach - gap, d), targets (N,), dropped).
     """
-    samples = []
+    views, targets = [], []
     dropped = 0
-    n_o, n_a = window.n_o, window.n_a
     for video in corpus.videos:
         if video.video_id not in store.features:
             raise DataError(f"no features for annotated video {video.video_id}")
         feats = store.features[video.video_id]
-        for seg_idx, seg in enumerate(video.segments):
-            t_idx = _target_snippet(seg.start, window.delta)
-            first = t_idx - n_a - n_o
-            if first < 0 or t_idx - n_a > feats.shape[0] or t_idx > feats.shape[0]:
+        for seg in video.segments:
+            t_idx = np.floor(seg.start / delta + 1e-9)
+            if not reach <= t_idx <= feats.shape[0]:
                 dropped += 1
                 continue
-            samples.append(TrainSample(
-                observed=feats[first:t_idx - n_a].copy(),
-                target_class=seg.activity_id,
-                window=window,
-                video_id=video.video_id,
-                segment_index=seg_idx,
-            ))
-    return samples, dropped
+            t_idx = int(t_idx)
+            views.append(feats[t_idx - reach:t_idx - gap])
+            targets.append(seg.activity_id)
+    observed = np.stack(views) if views else np.empty((0, reach - gap, store.dim))
+    return observed, np.array(targets, dtype=np.int64), dropped
+
+
+def window_samples(corpus, store, window):
+    """One window per annotated segment with enough preceding footage.
+
+    The observed snippets end exactly tau_a before the target segment starts.
+    Returns (observed (N, n_o, d), target classes (N,), dropped), where
+    dropped counts the segments too close to the video start.
+    """
+    return _cut_windows(corpus, store, window.delta, window.n_o + window.n_a, window.n_a)
 
 
 def _successor_distributions(spec, rng):
@@ -185,22 +165,23 @@ def generate_synthetic(spec):
     return SyntheticResult(AnnotationCorpus(videos), store, table, vocab, embeddings)
 
 
-def pair_batches(samples, batch_size, seed):
-    """Shuffled batches of sample pairs with differing target classes.
+def pair_batches(targets, batch_size, seed):
+    """Shuffled batches of window pairs with differing target classes.
 
-    Within each batch, samples are greedily matched; unpairable leftovers are
-    carried into the next batch.  Yields lists of (sample_i, sample_j).
+    Within each batch, windows are greedily matched; unpairable leftovers are
+    carried into the next batch.  Yields lists of index pairs (i, j) into
+    targets.
     """
     if batch_size < 2:
         raise DataError("batch_size must be >= 2")
-    classes = {s.target_class for s in samples}
-    if len(classes) < 2:
+    classes = np.asarray(targets).tolist()
+    if len(set(classes)) < 2:
         raise DataError("pairing needs at least two target classes in the corpus")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(samples))
+    order = rng.permutation(len(classes)).tolist()
     carry = []
     for lo in range(0, len(order), batch_size):
-        pool = carry + [samples[i] for i in order[lo:lo + batch_size]]
+        pool = carry + order[lo:lo + batch_size]
         carry = []
         pairs = []
         used = [False] * len(pool)
@@ -208,7 +189,7 @@ def pair_batches(samples, batch_size, seed):
             if used[i]:
                 continue
             for j in range(i + 1, len(pool)):
-                if not used[j] and pool[j].target_class != s_i.target_class:
+                if not used[j] and classes[pool[j]] != classes[s_i]:
                     pairs.append((s_i, pool[j]))
                     used[i] = used[j] = True
                     break
@@ -223,37 +204,20 @@ def family_batches(corpus, store, window, tau_a_grid):
     """Families of windows sharing one target, anticipation horizon shrinking.
 
     All members start observing at the same snippet (tau_o grows as tau_a
-    shrinks), so each member's observation is a prefix-extension of the
-    previous one.  Targets without footage at the widest window are skipped.
+    shrinks), so each member's observation is a prefix of the last, longest
+    one.  Returns (observed (F, L, d), members, skipped): the longest
+    observation of each family, the (n_o, n_a) of every member in grid order,
+    shared by all families, and the count of targets without footage at the
+    widest window.
     """
     grid = tuple(tau_a_grid)
     if len(grid) < 2 or any(b >= a for a, b in zip(grid, grid[1:])):
         raise DataError(f"tau_a grid must be strictly decreasing, got {grid}")
-    delta = window.delta
-    tau_a_max = grid[0]
-    families = []
-    skipped = 0
-    for video in corpus.videos:
-        feats = store.features[video.video_id]
-        for seg_idx, seg in enumerate(video.segments):
-            t_idx = _target_snippet(seg.start, delta)
-            first = t_idx - int(round((window.tau_o + tau_a_max) / delta))
-            if first < 0 or t_idx > feats.shape[0]:
-                skipped += 1
-                continue
-            members = []
-            for tau_a in grid:
-                w = AnticipationWindow(
-                    tau_o=window.tau_o + (tau_a_max - tau_a), tau_a=tau_a, delta=delta)
-                members.append(TrainSample(
-                    observed=feats[first:t_idx - w.n_a].copy(),
-                    target_class=seg.activity_id,
-                    window=w,
-                    video_id=video.video_id,
-                    segment_index=seg_idx,
-                ))
-            families.append(FamilySample(members=members, tau_a_grid=grid))
-    return families, skipped
+    reach = int(round((window.tau_o + grid[0]) / window.delta))
+    n_as = [AnticipationWindow(tau_o=window.tau_o + (grid[0] - tau_a), tau_a=tau_a,
+                               delta=window.delta).n_a for tau_a in grid]
+    observed, _, skipped = _cut_windows(corpus, store, window.delta, reach, n_as[-1])
+    return observed, [(reach - n_a, n_a) for n_a in n_as], skipped
 
 
 def pollute(store, cfg):

@@ -167,28 +167,20 @@ def weight_norm_report(classifier_weights, class_counts):
     return rows, head_mean, tail_mean
 
 
-def class_partition_report(merged_matrix, probs, truths, mode="quartiles",
-                           top_k_pairs=200, k=5):
+def class_partition_report(merged_matrix, probs, truths, k=5):
     """Accuracy per partition of class pairs ranked by merged score.
 
     Pairs (i<j) are ranked by descending merged value (ties by index) and cut
-    into four rank quartiles, or into top-K pairs vs the rest.  A class maps
-    to the partition of its highest-ranked pair; classes in no pair form a
-    final partition, so the partitions cover the evaluated set.
+    into four rank quartiles.  A class maps to the partition of its
+    highest-ranked pair; classes in no pair form a final partition, so the
+    partitions cover the evaluated set.
     """
     values = np.asarray(merged_matrix, dtype=np.float64)
     C = values.shape[0]
     pairs = [(i, j) for i in range(C) for j in range(i + 1, C)]
     pairs.sort(key=lambda p: (-values[p], p))
 
-    if mode == "quartiles":
-        cuts = [math.ceil(len(pairs) * q / 4) for q in (1, 2, 3, 4)]
-        labels = ["Q1 (most uncertain)", "Q2", "Q3", "Q4"]
-    elif mode == "top_k":
-        cuts = [min(top_k_pairs, len(pairs)), len(pairs)]
-        labels = [f"Top {top_k_pairs}", "Rest"]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    cuts = [math.ceil(len(pairs) * q / 4) for q in (1, 2, 3, 4)]
 
     class_part = {c: len(cuts) for c in range(C)}  # default: no-pair partition
     lo = 0
@@ -199,7 +191,7 @@ def class_partition_report(merged_matrix, probs, truths, mode="quartiles",
             class_part[i] = min(class_part[i], part)
             class_part[j] = min(class_part[j], part)
         lo = hi
-    labels = labels + ["No co-occurrence"]
+    labels = ["Q1 (most uncertain)", "Q2", "Q3", "Q4", "No co-occurrence"]
 
     probs = np.asarray(probs, dtype=np.float64)
     truths = np.asarray(truths)

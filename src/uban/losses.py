@@ -13,7 +13,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 __all__ = [
-    "AdjustedDistribution", "HyperParams",
+    "AdjustedDistribution",
     "adjust_distribution", "soft_cross_entropy", "anticipation_loss",
     "relative_weights", "mix_features", "srul_loss", "permutation_probability",
     "trul_loss", "trul_loss_batched", "wd_loss",
@@ -24,19 +24,6 @@ __all__ = [
 class AdjustedDistribution:
     probs: Tensor
     log_probs: Tensor
-
-
-@dataclass
-class HyperParams:
-    alpha: float = 0.4
-    beta: float = 0.005
-    gamma: float = 5e-6
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.beta < 0 or self.gamma < 0:
-            raise ValueError("beta and gamma must be nonnegative")
 
 
 def _as_tensor(x):

@@ -288,10 +288,22 @@ def save_checkpoint(path, model, meta=None):
             fh.write(data.astype("<f8").tobytes())
 
 
+def _parameter_shapes(feature_dim, hidden_dim, num_classes):
+    """Name -> shape of every AnticipationModel parameter, without building one."""
+    d, h, c = feature_dim, hidden_dim, num_classes
+    shapes = {f"{prefix}.{kind}{gate}": shape for prefix in ("enc", "dec") for gate in "zrn"
+              for kind, shape in (("W", (d, h)), ("U", (h, h)), ("b", (1, h)))}
+    shapes.update({"dec.Wout": (h, d), "dec.bout": (1, d), "head.Wc": (d, c),
+                   "head.bc": (1, c), "head.Wu": (d, c), "head.bu": (1, c)})
+    return shapes
+
+
 def load_checkpoint(path):
     """Returns (model, meta); the parameter round-trip is bit-exact.
 
     A file that is not a complete checkpoint of a known layout raises DataError.
+    The blocks are checked against the layout the meta describes before the
+    model is built, so a meta claiming a huge model allocates nothing.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -330,15 +342,16 @@ def load_checkpoint(path):
         data = np.frombuffer(take(8 * math.prod(shape), name), dtype="<f8")
         params[name] = data.reshape(shape).copy()
 
-    model = AnticipationModel(meta["feature_dim"], meta["hidden_dim"],
-                              meta["num_classes"], pooling=meta["pooling"])
-    own = model.params
-    if set(own) != set(params):
+    dims = (meta["feature_dim"], meta["hidden_dim"], meta["num_classes"])
+    expected = _parameter_shapes(*dims)
+    if set(expected) != set(params):
         raise DataError(f"{path}: parameter names {sorted(params)} do not match "
-                        f"model layout {sorted(own)}")
+                        f"model layout {sorted(expected)}")
     for name, data in params.items():
-        if own[name].data.shape != data.shape:
+        if expected[name] != data.shape:
             raise DataError(f"{path}: shape mismatch for {name}: checkpoint "
-                            f"{data.shape} vs model {own[name].data.shape}")
-        own[name].data = data
+                            f"{data.shape} vs model {expected[name]}")
+    model = AnticipationModel(*dims, pooling=meta["pooling"])
+    for name, tensor in model.params.items():
+        tensor.data = params[name]
     return model, meta

@@ -14,8 +14,8 @@ from .autodiff import Tensor
 from .cooccur import DataError, build_internal_matrix, merge_rows
 from .data import family_batches, pair_batches, window_samples
 from .labels import pair_label, pair_set
-from .losses import (HyperParams, adjust_distribution, relative_weights,
-                     soft_cross_entropy, srul_loss, trul_loss_batched, wd_loss)
+from .losses import (adjust_distribution, relative_weights, soft_cross_entropy,
+                     srul_loss, trul_loss_batched, wd_loss)
 from .model import POOLINGS, AnticipationModel, AnticipationWindow, dual_heads
 
 __all__ = ["TrainConfig", "SgdMomentum", "train", "evaluate_model", "NumericalFailure"]
@@ -53,9 +53,12 @@ class TrainConfig:
             raise DataError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 1:
             raise DataError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0.0 <= self.alpha < 1.0:
+            raise DataError(f"alpha must be in [0, 1), got {self.alpha}")
+        if self.beta < 0 or self.gamma < 0:
+            raise DataError("beta and gamma must be nonnegative")
         try:
             self.window()
-            HyperParams(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
         except ValueError as exc:
             raise DataError(str(exc)) from None
 
@@ -108,10 +111,10 @@ def _label_cache(matrix_internal, matrix_external, num_classes):
 
 
 def _pair_label_rows(pairs, sets, alpha, num_classes, cache):
+    """(P, C) soft labels for P pairs of target class ids."""
     rows = []
-    for s_i, s_j in pairs:
-        key = (min(s_i.target_class, s_j.target_class),
-               max(s_i.target_class, s_j.target_class))
+    for c_i, c_j in pairs:
+        key = (min(c_i, c_j), max(c_i, c_j))
         if key not in cache:
             merged = pair_set(sets[key[0]], sets[key[1]], key[0], key[1])
             cache[key] = pair_label(key[0], key[1], merged, alpha, num_classes).probs
@@ -141,23 +144,19 @@ def _mixed_log_probs(model, anticipated, heads):
     return log_probs
 
 
-def _family_uncertainty(model, batch_families):
+def _family_uncertainty(model, observed, members):
     """(F, M) pooled uncertainties, each member at its final anticipation step.
 
-    The members of a family observe prefix-extensions of one sequence
-    (data.family_batches), so the longest observation is encoded once and
-    each member decodes from the hidden state after its own last snippet.
+    observed: (F, L, d) longest observation of each family; members: the
+    (n_o, n_a) of each member (data.family_batches).  Every member observes
+    a prefix of that sequence, so it is encoded once and each member decodes
+    from the hidden state after its own last snippet.
     """
-    per_member = list(zip(*(fam.members for fam in batch_families)))  # M tuples of F
-    longest = max(per_member, key=lambda samples: len(samples[0].observed))
-    observed = np.stack([s.observed for s in longest])
     steps = [Tensor(observed[:, t, :]) for t in range(observed.shape[1])]
     states = model.backbone.encode(steps)
     columns = []
-    for samples in per_member:
-        n_o = len(samples[0].observed)
-        anticipated = model.backbone.decode(states[n_o - 1], steps[n_o - 1],
-                                            samples[0].window.n_a)
+    for n_o, n_a in members:
+        anticipated = model.backbone.decode(states[n_o - 1], steps[n_o - 1], n_a)
         head = dual_heads(anticipated[-1], model.head_params, model.pooling)
         columns.append(head.uncertainty.scalar)
     return ad.concat(columns, axis=1)
@@ -172,8 +171,8 @@ def train(config, corpus, store, vocab, log_path=None, external_matrix=None):
     boosted one is SRUL on mixed pairs + beta * TRUL + gamma * WD.
     """
     window = config.window()
-    samples, _ = window_samples(corpus, store, window)
-    if not samples:
+    observed, targets, _ = window_samples(corpus, store, window)
+    if not len(targets):
         raise DataError("no trainable samples: all segments lack footage")
     C = vocab.num_activities
     model = AnticipationModel(store.dim, config.hidden_dim, C,
@@ -187,44 +186,45 @@ def train(config, corpus, store, vocab, log_path=None, external_matrix=None):
         internal = build_internal_matrix(corpus, vocab)
         sets = _label_cache(internal, external_matrix, C)
         pair_cache = {}
-        families, _ = family_batches(corpus, store, window, config.tau_a_grid)
+        fam_observed, members, _ = family_batches(corpus, store, window,
+                                                  config.tau_a_grid)
+        F = len(fam_observed)
 
     log_rows = []
     for epoch in range(config.epochs):
         epoch_seed = config.seed * 100003 + epoch
         if plain:
-            order = np.random.default_rng(epoch_seed).permutation(len(samples))
-            batches = ([samples[i] for i in order[lo:lo + config.batch_size]]
+            order = np.random.default_rng(epoch_seed).permutation(len(targets))
+            batches = (order[lo:lo + config.batch_size]
                        for lo in range(0, len(order), config.batch_size))
         else:
             fam_rng = np.random.default_rng(epoch_seed + 1)
-            fam_order = fam_rng.permutation(len(families)) if families else []
+            fam_order = fam_rng.permutation(F) if F else []
             fam_pos = 0
-            batches = pair_batches(samples, config.batch_size, epoch_seed)
+            batches = pair_batches(targets, config.batch_size, epoch_seed)
         for batch in batches:
-            flat = batch if plain else [s for pair in batch for s in pair]
-            observed = np.stack([s.observed for s in flat])
-            backbone_out, heads = model.forward(observed, window.n_a)
+            flat = batch if plain else np.ravel(batch)
+            backbone_out, heads = model.forward(observed[flat], window.n_a)
 
             if plain:
-                labels = onehot[[s.target_class for s in flat]]
+                labels = onehot[targets[flat]]
                 ces = [soft_cross_entropy(ad.log_softmax(head.logits, axis=1), labels)
                        for head in heads]
                 loss = sum(ces[1:], ces[0]) * Tensor(1.0 / len(ces))
                 logged = {"l_srul": float(loss.data), "l_trul": 0.0, "l_wd": 0.0,
                           "mean_u": 0.0}
             else:
-                pair_labels = _pair_label_rows(batch, sets, config.alpha, C, pair_cache)
+                pair_labels = _pair_label_rows(targets[flat].reshape(-1, 2).tolist(), sets,
+                                               config.alpha, C, pair_cache)
                 l_srul = srul_loss(
                     _mixed_log_probs(model, backbone_out.anticipated, heads), pair_labels)
                 u_all = [head.uncertainty.scalar for head in heads]
                 l_wd = wd_loss(ad.concat(u_all, axis=1))
-                if families and config.beta > 0:
-                    take = min(config.families_per_step, len(families))
-                    chosen = [families[fam_order[(fam_pos + i) % len(families)]]
-                              for i in range(take)]
+                if F and config.beta > 0:
+                    take = min(config.families_per_step, F)
+                    chosen = [fam_order[(fam_pos + i) % F] for i in range(take)]
                     fam_pos += take
-                    u_mat = _family_uncertainty(model, chosen)
+                    u_mat = _family_uncertainty(model, fam_observed[chosen], members)
                     l_trul = trul_loss_batched(u_mat) * Tensor(1.0 / take)
                 else:
                     l_trul = Tensor(0.0)
@@ -249,20 +249,17 @@ def train(config, corpus, store, vocab, log_path=None, external_matrix=None):
     return model, log_rows
 
 
-def evaluate_model(model, corpus, store, window, batch_size=256):
-    """Adjusted probabilities and pooled uncertainties for every test sample.
+def evaluate_model(model, observed, n_a, batch_size=256):
+    """Adjusted probabilities and pooled uncertainties for every window.
 
-    Returns (probs (N, n_a, C), uncertainties (N, n_a), truths (N,)).
+    observed: (N, n_o, d) windows (data.window_samples).
+    Returns (probs (N, n_a, C), uncertainties (N, n_a)).
     """
-    samples, _ = window_samples(corpus, store, window)
-    if not samples:
+    if not len(observed):
         raise DataError("no evaluable samples")
-    probs, uncs, truths = [], [], []
-    for lo in range(0, len(samples), batch_size):
-        batch = samples[lo:lo + batch_size]
-        observed = np.stack([s.observed for s in batch])
-        p, u = model.predict(observed, window.n_a)
+    probs, uncs = [], []
+    for lo in range(0, len(observed), batch_size):
+        p, u = model.predict(observed[lo:lo + batch_size], n_a)
         probs.append(p)
         uncs.append(u)
-        truths.extend(s.target_class for s in batch)
-    return np.concatenate(probs), np.concatenate(uncs), np.array(truths)
+    return np.concatenate(probs), np.concatenate(uncs)

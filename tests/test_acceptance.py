@@ -24,7 +24,7 @@ from uban.cooccur import (AnnotationCorpus, KnowledgeEdgeSet, Segment, Video,
                           Vocabulary, build_external_matrix,
                           build_internal_matrix, normalize_lemma)
 from uban.data import (NoiseConfig, SyntheticSpec, family_batches,
-                       generate_synthetic, pollute)
+                       generate_synthetic, pollute, window_samples)
 from uban.evaluation import kendall_tau, rejection_curve, topk_accuracy
 from uban.labels import single_label
 from uban.losses import (adjust_distribution, anticipation_loss, mix_features,
@@ -361,14 +361,14 @@ def trained_runs():
         boosted_seconds = time.time() - t0
         base_model, _ = train(base_cfg, train_corpus, syn.store, syn.vocab)
         window = cfg.window()
-        probs, uncs, truths = evaluate_model(model, test_corpus, syn.store, window)
-        base_probs, _, base_truths = evaluate_model(base_model, test_corpus,
-                                                    syn.store, window)
+        observed, truths, _ = window_samples(test_corpus, syn.store, window)
+        probs, uncs = evaluate_model(model, observed, window.n_a)
+        base_probs, _ = evaluate_model(base_model, observed, window.n_a)
         runs.append({
             "seed": seed, "syn": syn, "test_corpus": test_corpus,
             "config": cfg, "window": window, "model": model,
             "probs": probs, "uncs": uncs, "truths": truths,
-            "base_probs": base_probs, "base_truths": base_truths,
+            "base_probs": base_probs, "base_truths": truths,
             "boosted_seconds": boosted_seconds,
             "total_seconds": time.time() - t0,
         })
@@ -393,8 +393,8 @@ def test_criterion_6_noise_direction(trained_runs):
         for eta in ETAS:
             store = pollute(run["syn"].store,
                             NoiseConfig(eta=eta, seed=run["seed"] + 777))
-            probs, uncs, truths = evaluate_model(
-                run["model"], run["test_corpus"], store, run["window"])
+            observed, truths, _ = window_samples(run["test_corpus"], store, run["window"])
+            probs, uncs = evaluate_model(run["model"], observed, run["window"].n_a)
             accs.append(topk_accuracy(probs[:, REJECT_STEP, :], truths, 5))
             us.append(float(uncs.mean()))
         acc_curves.append(accs)
@@ -454,11 +454,11 @@ def test_criterion_9_temporal_ordering(trained_runs):
     means = []
     for run in trained_runs:
         grid = run["config"].tau_a_grid
-        families, _ = family_batches(run["test_corpus"], run["syn"].store,
-                                     run["window"], grid)
-        assert families, "no held-out families"
+        observed, members, _ = family_batches(run["test_corpus"], run["syn"].store,
+                                              run["window"], grid)
+        assert len(observed), "no held-out families"
         with ad.no_grad():
-            u_mat = _family_uncertainty(run["model"], families).data
+            u_mat = _family_uncertainty(run["model"], observed, members).data
         means.append(float(np.mean([kendall_tau(row) for row in u_mat])))
     overall = float(np.mean(means))
     ok = overall > 0

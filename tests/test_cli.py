@@ -6,7 +6,7 @@ import pytest
 
 from uban.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from uban.cooccur import corpus_from_rows, read_annotations, read_vocabulary
-from uban.data import read_feature_csv
+from uban.data import read_feature_csv, window_samples
 from uban.model import AnticipationWindow, load_checkpoint, save_checkpoint
 from uban.train import evaluate_model
 
@@ -131,6 +131,45 @@ def test_usage_errors(tmp_path):
     assert run("train") == EXIT_USAGE  # missing required corpus arguments
 
 
+@pytest.mark.parametrize("mode, flags", [
+    ("mcdropout", ["--passes", 1]),
+    ("mcdropout", ["--drop-rate", 0]),
+    ("histogram", ["--bins", 1]),
+    ("reject", ["--fractions", 0.5, 0.1]),
+    ("reject", ["--fractions", 1.0]),
+])
+def test_eval_argument_out_of_range_is_usage_error(tmp_path, capsys, mode, flags):
+    # the input files do not exist: the arguments are rejected before any is read
+    missing = tmp_path / "missing"
+    code = run("--out", tmp_path / "e", "eval", *corpus_args(missing),
+               "--features", missing / "features.csv", "--checkpoint", missing / "m.ckpt",
+               "--mode", mode, *flags)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err and "error:" in err
+    assert not (tmp_path / "e").exists()
+
+
+def test_negative_eta_is_data_error(gen_dir, train_dir, tmp_path, capsys):
+    code = run("--out", tmp_path / "e", "eval", *corpus_args(gen_dir),
+               "--features", gen_dir / "features.csv",
+               "--checkpoint", train_dir / "model.ckpt", "--mode", "noise", "--etas", -1)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "Traceback" not in err and "eta must be nonnegative" in err
+
+
+@pytest.mark.parametrize("flag", ["--dim", "--videos", "--segments"])
+def test_gen_empty_corpus_is_data_error(tmp_path, capsys, flag):
+    argv = gen_args(tmp_path / "g")
+    argv[argv.index(flag) + 1] = 0
+    code = run(*argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "Traceback" not in err and "must be >= 1" in err
+    assert not (tmp_path / "g" / "features.csv").exists()
+
+
 def test_missing_file_is_data_error(tmp_path):
     code = run("--out", tmp_path / "s", "stats",
                "--annotations", tmp_path / "missing.csv",
@@ -199,7 +238,16 @@ CHECKPOINT_DAMAGE = {
     "names": (lambda b: _corrupt(b, b"head.Wc", b"head.Xc"), "parameter names"),
     "shape": (lambda b: _corrupt(b, b'"hidden_dim": 32', b'"hidden_dim": 31'),
               "shape mismatch for"),
+    # a layout of 10**6 x 10**6 matrices and no parameter blocks: rejected
+    # before any parameter is allocated
+    "huge_layout": (lambda b: _huge_layout(b[:12]), "parameter names"),
 }
+
+
+def _huge_layout(head):
+    meta = json.dumps({"feature_dim": 10**6, "hidden_dim": 10**6, "num_classes": 6,
+                       "pooling": "mean"}).encode("utf-8")
+    return head + len(meta).to_bytes(4, "little") + meta + (0).to_bytes(4, "little")
 
 
 @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
@@ -279,6 +327,9 @@ INPUT_DAMAGE = {
     "features_not_utf8": ("features.csv",
                           lambda t: t.encode("utf-8").replace(b"vid0001", b"vid\xff001", 1),
                           "not UTF-8"),
+    "non_finite_annotation_time": ("annotations.csv",
+                                   lambda t: (t + "vid0000,1e308,inf,0,0\n").encode("utf-8"),
+                                   "annotations.csv:50: non-finite start_s or stop_s"),
     "annotations_not_utf8": ("annotations.csv",
                              lambda t: t.encode("utf-8").replace(b"vid0001", b"vid\xfe001", 1),
                              "can't decode byte 0xfe"),
@@ -328,7 +379,8 @@ def test_eval_uses_the_window_of_the_checkpoint(gen_dir, tmp_path, capsys):
     expected = {}
     for tau_o in (1.0, 1.5):
         window = AnticipationWindow(tau_o=tau_o, tau_a=2.0, delta=0.25)
-        _, uncs, _ = evaluate_model(model, corpus, store, window)
+        observed, _, _ = window_samples(corpus, store, window)
+        _, uncs = evaluate_model(model, observed, window.n_a)
         expected[tau_o] = float(uncs[:, window.anticipation_taus().index(1.0)].mean())
     assert mean_u == expected[1.0] != expected[1.5]
 
@@ -361,7 +413,8 @@ def test_invalid_checkpoint_window_is_data_error(gen_dir, train_dir, tmp_path, c
     assert not (tmp_path / "e" / "metrics.json").exists()
 
 
-# sha256 of the eval reports on the fixture corpus; mcdropout uses 50 passes
+# sha256 of every eval report on the fixture corpus, default arguments
+# (mcdropout uses 50 passes)
 EVAL_DIGESTS = {
     "metrics": ("metrics.json",
                 "878b20742191c660ad2064eef71c109f1f1d3c5e36270fa3ac22f12e1d9dfee2"),
@@ -369,6 +422,14 @@ EVAL_DIGESTS = {
                   "67e9c7f6e4b52aa5d5111f39f1333d158155b3b789b18a5037fe31f81509e840"),
     "noise": ("noise.csv",
               "8e61ef987dfd5eb578b509660fdf302694aa521e26b351ee9f81e6ea869b0fa6"),
+    "reject": ("rejection.csv",
+               "fd37e2c050d748a43f1e6b29addba48aeed53f9ee75ebc96a6701430bc0a4b66"),
+    "histogram": ("histogram.csv",
+                  "bfa4989e867617e63790d03934ab86bf26a5f771f1f2fb0c09f01f5351a3fdf6"),
+    "norms": ("weight_norms.csv",
+              "61655b80b73acee4326921139c323f25518d081aea4681f5943a9bec74912e28"),
+    "partitions": ("partitions.csv",
+                   "18caae5c5632c05b9de27a1a6380458c2e06086edfd152347efa6eb3e220e50c"),
 }
 
 

@@ -29,18 +29,27 @@ def toy_corpus(starts, vid="v0", seconds=1.0):
 def test_window_geometry_ends_tau_a_before_target():
     store = toy_store()
     corpus = toy_corpus([4.0])
-    samples, dropped = window_samples(corpus, store, WIN)
+    observed, targets, dropped = window_samples(corpus, store, WIN)
     assert dropped == 0
-    s = samples[0]
-    assert s.observed.shape == (WIN.n_o, 3)
+    assert observed.shape == (1, WIN.n_o, 3)
+    assert targets.tolist() == [0]
     # target starts at snippet 16; observed covers snippets 6..11
-    np.testing.assert_array_equal(s.observed, store.features["v0"][6:12])
+    np.testing.assert_array_equal(observed[0], store.features["v0"][6:12])
 
 
 def test_early_segment_dropped():
-    samples, dropped = window_samples(toy_corpus([0.5]), toy_store(), WIN)
-    assert samples == []
+    observed, targets, dropped = window_samples(toy_corpus([0.5]), toy_store(), WIN)
+    assert observed.shape == (0, WIN.n_o, 3)
+    assert targets.shape == (0,)
     assert dropped == 1
+
+
+def test_segment_past_representable_snippets_dropped():
+    # 1e308 s is finite, but its snippet index overflows to infinity
+    corpus = AnnotationCorpus([Video("v0", [Segment(4.0, 5.0, 0),
+                                             Segment(1e308, 1.5e308, 1)])])
+    observed, targets, dropped = window_samples(corpus, toy_store(), WIN)
+    assert len(observed) == len(targets) == 1 and dropped == 1
 
 
 def test_missing_video_rejected():
@@ -52,10 +61,10 @@ def test_full_footage_yields_one_sample_per_segment():
     spec = SyntheticSpec(num_classes=6, videos=4, segments_per_video=10,
                          segment_seconds=4.0, seed=3)
     syn = generate_synthetic(spec)
-    samples, dropped = window_samples(syn.corpus, syn.store, WIN)
+    observed, targets, dropped = window_samples(syn.corpus, syn.store, WIN)
     # only the first segment of each video lacks preceding footage
     assert dropped == 4
-    assert len(samples) == 4 * 10 - 4
+    assert len(observed) == len(targets) == 4 * 10 - 4
 
 
 # ---------------------------------------------------------------------------
@@ -149,24 +158,23 @@ def test_pair_stream_all_pairs_distinct_classes():
     spec = SyntheticSpec(num_classes=6, videos=10, segments_per_video=20,
                          segment_seconds=4.0, seed=19)
     syn = generate_synthetic(spec)
-    samples, _ = window_samples(syn.corpus, syn.store, WIN)
+    _, targets, _ = window_samples(syn.corpus, syn.store, WIN)
     emitted = 0
-    for pairs in pair_batches(samples, 16, seed=0):
-        for s_i, s_j in pairs:
-            assert s_i.target_class != s_j.target_class
+    for pairs in pair_batches(targets, 16, seed=0):
+        for i, j in pairs:
+            assert targets[i] != targets[j]
             emitted += 1
-    assert emitted >= len(samples) // 2 - 8
+    assert emitted >= len(targets) // 2 - 8
 
 
 def test_pair_stream_deterministic():
     spec = SyntheticSpec(num_classes=6, videos=5, segments_per_video=10,
                          segment_seconds=4.0, seed=23)
     syn = generate_synthetic(spec)
-    samples, _ = window_samples(syn.corpus, syn.store, WIN)
+    _, targets, _ = window_samples(syn.corpus, syn.store, WIN)
 
     def keys():
-        return [[(id(a), id(b)) for a, b in pairs]
-                for pairs in pair_batches(samples, 8, seed=4)]
+        return list(pair_batches(targets, 8, seed=4))
 
     assert keys() == keys()
 
@@ -175,9 +183,9 @@ def test_single_class_corpus_rejected():
     store = toy_store(snippets=100)
     segs = [Segment(4.0 + i, 5.0 + i, 2) for i in range(5)]
     corpus = AnnotationCorpus([Video("v0", segs)])
-    samples, _ = window_samples(corpus, store, WIN)
+    _, targets, _ = window_samples(corpus, store, WIN)
     with pytest.raises(DataError, match="two target classes"):
-        list(pair_batches(samples, 4, seed=0))
+        list(pair_batches(targets, 4, seed=0))
 
 
 def test_family_members_share_start_and_target():
@@ -185,16 +193,89 @@ def test_family_members_share_start_and_target():
                          segment_seconds=4.0, seed=29)
     syn = generate_synthetic(spec)
     grid = (2.0, 1.5, 1.0, 0.5)
-    families, skipped = family_batches(syn.corpus, syn.store, WIN, grid)
-    assert families and skipped == 4
-    for fam in families:
-        base = fam.members[0]
-        for m, tau_a in zip(fam.members, grid):
-            assert m.target_class == base.target_class
-            assert m.window.tau_a == tau_a
-            # each member extends the previous observation window
-            np.testing.assert_array_equal(
-                m.observed[:base.observed.shape[0]], base.observed)
+    observed, members, skipped = family_batches(syn.corpus, syn.store, WIN, grid)
+    assert len(observed) and skipped == 4
+    assert [n_a for _, n_a in members] == [round(tau_a / WIN.delta) for tau_a in grid]
+    # every member starts at the same snippet and ends at the target, so each
+    # one extends the previous observation window up to the stored longest one
+    reach = members[0][0] + members[0][1]
+    assert all(n_o + n_a == reach for n_o, n_a in members)
+    assert [n_o for n_o, _ in members] == sorted(n_o for n_o, _ in members)
+    assert observed.shape[1] == members[-1][0]
+
+
+def _per_segment_windows(corpus, store, window):
+    """The per-segment slicing loop that window_samples replaced: one copy
+    per window, kept as the oracle."""
+    samples, dropped = [], 0
+    n_o, n_a = window.n_o, window.n_a
+    for video in corpus.videos:
+        feats = store.features[video.video_id]
+        for seg in video.segments:
+            t_idx = int(np.floor(seg.start / window.delta + 1e-9))
+            first = t_idx - n_a - n_o
+            if first < 0 or t_idx - n_a > feats.shape[0] or t_idx > feats.shape[0]:
+                dropped += 1
+                continue
+            samples.append((feats[first:t_idx - n_a].copy(), seg.activity_id))
+    return samples, dropped
+
+
+def _per_segment_families(corpus, store, window, grid):
+    """The per-segment slicing loop that family_batches replaced: each family
+    holds one (observed, n_a) per member, a copy each."""
+    families, skipped = [], 0
+    delta = window.delta
+    for video in corpus.videos:
+        feats = store.features[video.video_id]
+        for seg in video.segments:
+            t_idx = int(np.floor(seg.start / delta + 1e-9))
+            first = t_idx - int(round((window.tau_o + grid[0]) / delta))
+            if first < 0 or t_idx > feats.shape[0]:
+                skipped += 1
+                continue
+            members = []
+            for tau_a in grid:
+                w = AnticipationWindow(tau_o=window.tau_o + (grid[0] - tau_a),
+                                       tau_a=tau_a, delta=delta)
+                members.append((feats[first:t_idx - w.n_a].copy(), w.n_a))
+            families.append(members)
+    return families, skipped
+
+
+def _oracle_corpora():
+    spec = SyntheticSpec(num_classes=6, videos=4, segments_per_video=10,
+                         segment_seconds=4.0, seed=3)
+    syn = generate_synthetic(spec)
+    # irregular starts: before any footage, off the snippet grid, past the end
+    starts = [0.5, 2.6, 4.0, 5.3, 7.3, 9.75, 9.9, 10.5]
+    toy = AnnotationCorpus([Video("v0", [Segment(s, s + 0.5, i % 3)
+                                         for i, s in enumerate(starts)])])
+    return {"synthetic": (syn.corpus, syn.store), "toy": (toy, toy_store())}
+
+
+@pytest.mark.parametrize("name", ["synthetic", "toy"])
+def test_window_arrays_match_per_segment_oracle(name):
+    corpus, store = _oracle_corpora()[name]
+    samples, dropped = _per_segment_windows(corpus, store, WIN)
+    observed, targets, got_dropped = window_samples(corpus, store, WIN)
+    assert samples and got_dropped == dropped
+    assert np.array_equal(observed, np.stack([o for o, _ in samples]))
+    assert np.array_equal(targets, [c for _, c in samples])
+
+
+@pytest.mark.parametrize("name", ["synthetic", "toy"])
+def test_family_arrays_match_per_segment_oracle(name):
+    corpus, store = _oracle_corpora()[name]
+    grid = (2.0, 1.5, 1.0, 0.5)
+    families, skipped = _per_segment_families(corpus, store, WIN, grid)
+    observed, members, got_skipped = family_batches(corpus, store, WIN, grid)
+    assert families and got_skipped == skipped
+    assert len(members) == len(grid)
+    for m, (n_o, n_a) in enumerate(members):
+        assert all(fam[m][1] == n_a for fam in families)
+        assert np.array_equal(observed[:, :n_o], np.stack([fam[m][0] for fam in families]))
+    assert observed.shape[1] == members[-1][0]
 
 
 def test_family_grid_must_decrease():

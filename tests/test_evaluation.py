@@ -165,8 +165,6 @@ def test_class_partition_covers_all_samples():
     # classes 4..7 appear in no positive pair
     no_pair = sum(1 for t in truths if t >= 4)
     assert rep.sizes[-1] == no_pair
-    with pytest.raises(ValueError, match="mode"):
-        class_partition_report(values, probs, truths, mode="thirds")
 
 
 def test_sample_partition_quartiles_cover():

@@ -6,7 +6,7 @@ import pytest
 
 from uban import autodiff as ad
 from uban.autodiff import Tensor
-from uban.losses import (HyperParams, adjust_distribution, anticipation_loss,
+from uban.losses import (adjust_distribution, anticipation_loss,
                          mix_features, permutation_probability, relative_weights,
                          srul_loss, trul_loss, trul_loss_batched,
                          wd_loss)
@@ -193,13 +193,6 @@ def test_wd_is_sum_of_squares():
     assert float(wd_loss(Tensor([1.0, 2.0, 3.0])).data) == pytest.approx(14.0)
     assert float(wd_loss([Tensor(2.0), Tensor([1.0, 1.0])]).data) == pytest.approx(6.0)
     assert float(wd_loss([]).data) == 0.0
-
-
-def test_hyperparams_validation():
-    with pytest.raises(ValueError):
-        HyperParams(alpha=1.0)
-    with pytest.raises(ValueError):
-        HyperParams(beta=-0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,13 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert (tmp_path / "model.ckpt").read_bytes() == (tmp_path / "again.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("dims", [(5, 7, 3), (1, 2, 9)])
+def test_parameter_shapes_match_the_model(dims):
+    from uban.model import _parameter_shapes
+    model = AnticipationModel(*dims)
+    assert _parameter_shapes(*dims) == {k: t.data.shape for k, t in model.params.items()}
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint at all")

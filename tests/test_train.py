@@ -5,7 +5,7 @@ import pytest
 
 from uban import autodiff as ad
 from uban.autodiff import Tensor
-from uban.data import SyntheticSpec, family_batches, generate_synthetic
+from uban.data import SyntheticSpec, family_batches, generate_synthetic, window_samples
 from uban.model import AnticipationModel, dual_heads
 from uban.train import (SgdMomentum, TrainConfig, _family_uncertainty,
                         evaluate_model, train)
@@ -90,16 +90,16 @@ def test_plain_baseline_trains(tiny):
 
 def test_family_uncertainty_matches_per_member_unroll(tiny):
     cfg = tiny_config()
-    families, _ = family_batches(tiny.corpus, tiny.store, cfg.window(), cfg.tau_a_grid)
+    observed, members, _ = family_batches(tiny.corpus, tiny.store, cfg.window(),
+                                          cfg.tau_a_grid)
     model = AnticipationModel(tiny.store.dim, 12, 6, seed=3)
     columns = []
-    for m in range(len(cfg.tau_a_grid)):
-        observed = np.stack([fam.members[m].observed for fam in families])
-        out = model.backbone.anticipate(observed, families[0].members[m].window.n_a)
+    for n_o, n_a in members:
+        out = model.backbone.anticipate(observed[:, :n_o], n_a)
         head = dual_heads(out.anticipated[-1], model.head_params, model.pooling)
         columns.append(head.uncertainty.scalar.data[:, 0])
-    shared = _family_uncertainty(model, families).data
-    assert shared.shape == (len(families), len(cfg.tau_a_grid))
+    shared = _family_uncertainty(model, observed, members).data
+    assert shared.shape == (len(observed), len(cfg.tau_a_grid))
     assert np.array_equal(shared, np.stack(columns, axis=1))
 
 
@@ -127,7 +127,8 @@ def test_evaluate_model_shapes(tiny):
     cfg = tiny_config()
     model, _ = train(cfg, tiny.corpus, tiny.store, tiny.vocab)
     win = cfg.window()
-    probs, uncs, truths = evaluate_model(model, tiny.corpus, tiny.store, win)
+    observed, truths, _ = window_samples(tiny.corpus, tiny.store, win)
+    probs, uncs = evaluate_model(model, observed, win.n_a)
     n = len(truths)
     assert probs.shape == (n, win.n_a, 6)
     assert uncs.shape == (n, win.n_a)
