@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,10 +261,22 @@ def merge_rows(internal_row, external_row, target_class, top_k=None):
 # ---------------------------------------------------------------------------
 # file formats
 
+@contextmanager
+def _text_errors(path):
+    """Report bytes that are not UTF-8, or that the csv module refuses (such
+    as a field over its 131,072-character limit), as a DataError on path."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: unreadable CSV ({exc})") from None
+
+
 def read_annotations(path):
     """Annotation CSV: video_id,start_s,stop_s,verb_id,noun_id."""
     pair_rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _text_errors(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         expected = ["video_id", "start_s", "stop_s", "verb_id", "noun_id"]
         if reader.fieldnames != expected:
@@ -297,7 +310,7 @@ def read_vocabulary(verb_path, noun_path):
 
     def read_map(path, id_col):
         out = {}
-        with open(path, newline="", encoding="utf-8") as fh:
+        with _text_errors(path), open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != [id_col, "lemma"]:
@@ -319,7 +332,7 @@ def read_vocabulary(verb_path, noun_path):
 def read_edge_dump(path, selected_relations=DEFAULT_RELATIONS):
     """Edge dump TSV: head<TAB>relation<TAB>tail, one edge per line."""
     edges = set()
-    with open(path, encoding="utf-8") as fh:
+    with _text_errors(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -10,11 +10,13 @@ truth successor table so co-occurrence statistics can be checked exactly.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccur import AnnotationCorpus, DataError, Segment, Video, Vocabulary
+from .cooccur import (AnnotationCorpus, DataError, Segment, Video, Vocabulary,
+                      _text_errors)
 from .model import AnticipationWindow
 
 __all__ = [
@@ -237,12 +239,21 @@ def pollute(store, cfg):
 # file formats
 
 def write_feature_csv(store, path):
+    """The bytes csv.writer writes for a `video_id,snippet_idx,f0,...` header
+    and one row per snippet holding each value's float repr: CRLF line ends,
+    and only a video id can need quoting.  Rows are joined as strings, since
+    a per-value repr and a csv.writer call per row dominate the write time.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["video_id", "snippet_idx"] + [f"f{i}" for i in range(store.dim)])
+        fh.write(",".join(["video_id", "snippet_idx",
+                           *(f"f{i}" for i in range(store.dim))]) + "\r\n")
         for vid in sorted(store.features):
-            for idx, row in enumerate(store.features[vid]):
-                writer.writerow([vid, idx] + [repr(float(x)) for x in row])
+            buf = io.StringIO()
+            csv.writer(buf).writerow([vid, ""])  # "<vid>,\r\n", quoted as needed
+            label = buf.getvalue()[:-3]
+            rows = np.asarray(store.features[vid], dtype=np.float64).tolist()
+            fh.writelines(",".join((label, str(idx), *map(repr, row))) + "\r\n"
+                          for idx, row in enumerate(rows))
 
 
 def read_feature_csv(path):
@@ -252,11 +263,8 @@ def read_feature_csv(path):
     The value columns are parsed in one numpy call; any malformed part of the
     file raises DataError.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    with _text_errors(path), open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
     header = lines[0].split(",")
     if header[:2] != ["video_id", "snippet_idx"] or len(header) < 3:
         raise DataError(f"{path}: bad feature header {header}")

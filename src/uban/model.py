@@ -47,10 +47,11 @@ class AnticipationWindow:
     def __post_init__(self):
         for name in ("tau_o", "tau_a"):
             ratio = getattr(self, name) / self.delta
-            if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
+            # past 2**53 every float is a whole number, and no array has that many snippets
+            if not 1 <= ratio <= 2**53 or abs(ratio - round(ratio)) > 1e-9:
                 raise ValueError(
                     f"{name}={getattr(self, name)} is not a positive multiple "
-                    f"of delta={self.delta}")
+                    f"of delta={self.delta} of at most 2**53 snippets")
 
     @property
     def n_o(self):
@@ -326,32 +327,32 @@ def load_checkpoint(path):
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     try:
         meta = json.loads(take(u32("meta"), "meta").decode("utf-8"))
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nesting too deep to parse
         raise DataError(f"{path}: checkpoint meta is not UTF-8 JSON") from None
     if (not isinstance(meta, dict) or meta.get("pooling") not in POOLINGS
             or not all(type(meta.get(k)) is int and meta[k] > 0
                        for k in ("feature_dim", "hidden_dim", "num_classes"))):
         raise DataError(f"{path}: checkpoint meta lacks a valid model layout")
-    params = {}
+    blocks = {}  # name -> (shape, flat data); reshaped once the shape is known valid
     for _ in range(u32("parameter count")):
         try:
             name = take(u32("parameter name"), "parameter name").decode("utf-8")
         except UnicodeDecodeError:
             raise DataError(f"{path}: parameter name is not UTF-8") from None
         shape = tuple(struct.unpack("<Q", take(8, name))[0] for _ in range(u32(name)))
-        data = np.frombuffer(take(8 * math.prod(shape), name), dtype="<f8")
-        params[name] = data.reshape(shape).copy()
+        blocks[name] = shape, np.frombuffer(take(8 * math.prod(shape), name), dtype="<f8")
 
     dims = (meta["feature_dim"], meta["hidden_dim"], meta["num_classes"])
     expected = _parameter_shapes(*dims)
-    if set(expected) != set(params):
-        raise DataError(f"{path}: parameter names {sorted(params)} do not match "
+    if set(expected) != set(blocks):
+        raise DataError(f"{path}: parameter names {sorted(blocks)} do not match "
                         f"model layout {sorted(expected)}")
-    for name, data in params.items():
-        if expected[name] != data.shape:
+    for name, (shape, _) in blocks.items():
+        if expected[name] != shape:
             raise DataError(f"{path}: shape mismatch for {name}: checkpoint "
-                            f"{data.shape} vs model {expected[name]}")
+                            f"{shape} vs model {expected[name]}")
     model = AnticipationModel(*dims, pooling=meta["pooling"])
     for name, tensor in model.params.items():
-        tensor.data = params[name]
+        shape, data = blocks[name]
+        tensor.data = data.reshape(shape).copy()
     return model, meta

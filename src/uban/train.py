@@ -5,7 +5,8 @@ regularization objectives, plus the evaluation forward used by the reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,14 +46,19 @@ class TrainConfig:
     families_per_step: int = 8
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise DataError(f"{f.name} must be finite, got {value}")
         if self.delta <= 0:
             raise DataError(f"delta must be positive, got {self.delta}")
         if self.pooling not in POOLINGS:
             raise DataError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
         if self.batch_size < 2:
             raise DataError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.epochs < 1:
-            raise DataError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("epochs", "hidden_dim", "families_per_step"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.alpha < 1.0:
             raise DataError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.beta < 0 or self.gamma < 0:

@@ -205,3 +205,36 @@ def test_gru_cell_shape_mismatch():
     weights[4] = Tensor(np.zeros((4, 5)))
     with pytest.raises(ShapeMismatch, match="gru_cell"):
         ad.gru_cell(x, h, *weights)
+
+
+_G = np.random.default_rng(8).normal(size=(3, 7))
+
+# (shape of the tensor, gradient contributions in order, expected grad after each)
+ACCUMULATE_CASES = {
+    "numpy_scalar": ((), [np.float64(1.5), np.float64(-0.25)], [1.5, 1.25]),
+    "read_only_broadcast_view": (
+        (3, 4), [np.broadcast_to(np.arange(4.0), (3, 4)), _G[:, :4].copy()],
+        [np.broadcast_to(np.arange(4.0), (3, 4)), np.arange(4.0) + _G[:, :4]]),
+    "bias_reduction": (
+        (1, 7), [_G, -_G[::-1]],
+        [_G.sum(axis=0, keepdims=True),
+         _G.sum(axis=0, keepdims=True) + (-_G[::-1]).sum(axis=0, keepdims=True)]),
+    "concat_column_slice": ((3, 3), [_G[:, 2:5], _G[:, 4:7]],
+                            [_G[:, 2:5], _G[:, 2:5] + _G[:, 4:7]]),
+    "concat_row_slice": ((2, 7), [_G[1:3], _G[0:2]], [_G[1:3], _G[1:3] + _G[0:2]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCUMULATE_CASES))
+def test_accumulate_sums_into_fresh_grad(case):
+    # a grad that aliased a contribution (a view of another node's grad, or a
+    # read-only broadcast view) would break any caller that edits .grad in place
+    shape, contributions, expected = ACCUMULATE_CASES[case]
+    t = Tensor(np.zeros(shape), requires_grad=True)
+    for i, (g, want) in enumerate(zip(contributions, expected)):
+        ad._accumulate(t, g)
+        assert t.grad.shape == shape and t.grad.dtype == np.float64
+        assert np.array_equal(t.grad, want)
+        # a 0-d sum comes back as a numpy scalar, which nothing can write through
+        assert isinstance(t.grad, np.generic) or t.grad.flags.writeable
+        assert not any(np.shares_memory(t.grad, c) for c in contributions[:i + 1])

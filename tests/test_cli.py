@@ -1,10 +1,11 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from uban.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from uban.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from uban.cooccur import corpus_from_rows, read_annotations, read_vocabulary
 from uban.data import read_feature_csv, window_samples
 from uban.model import AnticipationWindow, load_checkpoint, save_checkpoint
@@ -52,6 +53,18 @@ def test_gen_outputs_and_manifest(gen_dir):
     manifest = json.loads((gen_dir / "manifest.json").read_text())
     assert manifest["command"] == "gen"
     assert manifest["seed"] == 0
+
+
+# sha256 of the fixture corpus files that `gen` writes
+GEN_DIGESTS = {
+    "features.csv": "c8aeb74c050b226c9bd60521d52ed8fc4f275f25921f99c1fe154ad69de7cc2d",
+    "annotations.csv": "d91e0c7be06232365a739eac8540587703243dd3728e63fbff4bcec9f463eb48",
+}
+
+
+def test_gen_outputs_pinned(gen_dir):
+    for name, digest in GEN_DIGESTS.items():
+        assert hashlib.sha256((gen_dir / name).read_bytes()).hexdigest() == digest
 
 
 def test_stats_internal_only(gen_dir, tmp_path):
@@ -240,14 +253,28 @@ CHECKPOINT_DAMAGE = {
               "shape mismatch for"),
     # a layout of 10**6 x 10**6 matrices and no parameter blocks: rejected
     # before any parameter is allocated
-    "huge_layout": (lambda b: _huge_layout(b[:12]), "parameter names"),
+    "huge_layout": (lambda b: _layout(b[:12], 10**6, []), "parameter names"),
+    # blocks with no data whose shapes numpy cannot build
+    "huge_empty_block": (lambda b: _layout(b[:12], 2, [(b"head.Wc", (0, 2**63))]),
+                         "parameter names"),
+    "too_many_axes": (lambda b: _layout(b[:12], 2, [(b"head.Wc", (0,) * 70)]),
+                      "parameter names"),
+    # JSON nested deeper than the parser recurses
+    "deep_meta": (lambda b: b[:12] + (10**5).to_bytes(4, "little") + b"[" * 10**5,
+                  "meta is not UTF-8 JSON"),
 }
 
 
-def _huge_layout(head):
-    meta = json.dumps({"feature_dim": 10**6, "hidden_dim": 10**6, "num_classes": 6,
+def _layout(head, dim, blocks):
+    """head, a meta with feature and hidden size dim, then (name, shape)
+    blocks of zeros, in the order save_checkpoint writes them."""
+    meta = json.dumps({"feature_dim": dim, "hidden_dim": dim, "num_classes": 6,
                        "pooling": "mean"}).encode("utf-8")
-    return head + len(meta).to_bytes(4, "little") + meta + (0).to_bytes(4, "little")
+    parts = [head, len(meta).to_bytes(4, "little"), meta, len(blocks).to_bytes(4, "little")]
+    for name, shape in blocks:
+        parts += [len(name).to_bytes(4, "little"), name, len(shape).to_bytes(4, "little"),
+                  *(d.to_bytes(8, "little") for d in shape), bytes(8 * math.prod(shape))]
+    return b"".join(parts)
 
 
 @pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
@@ -266,6 +293,8 @@ def test_bad_checkpoint_is_data_error(gen_dir, train_dir, tmp_path, capsys, dama
 @pytest.mark.parametrize("line", [
     "delta=0", "delta=-0.25", "delta=0.4", "alpha=1.0", "alpha=-0.1", "beta=-1",
     "gamma=-1e-6", "pooling=median", "batch_size=1", "epochs=0", "epochs=abc",
+    "families_per_step=0", "hidden_dim=0", "tau_o=1e308", "delta=1e-300",
+    "learning_rate=nan", "momentum=inf", "weight_decay=-inf", "gamma=nan",
 ])
 def test_invalid_train_config_is_data_error(gen_dir, tmp_path, capsys, line):
     config = tmp_path / "bad.cfg"
@@ -275,6 +304,18 @@ def test_invalid_train_config_is_data_error(gen_dir, tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert "Traceback" not in err and "data error" in err
+    assert not (tmp_path / "t" / "model.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_diverging_finite_config_is_numerical_failure(gen_dir, tmp_path, capsys):
+    config = tmp_path / "steep.cfg"
+    config.write_text("learning_rate=1e150\n")
+    code = run("--config", config, "--out", tmp_path / "t", "train",
+               *corpus_args(gen_dir), "--features", gen_dir / "features.csv")
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert "Traceback" not in err and "numerical failure: non-finite loss" in err
     assert not (tmp_path / "t" / "model.ckpt").exists()
 
 
@@ -333,17 +374,23 @@ INPUT_DAMAGE = {
     "annotations_not_utf8": ("annotations.csv",
                              lambda t: t.encode("utf-8").replace(b"vid0001", b"vid\xfe001", 1),
                              "can't decode byte 0xfe"),
+    # csv refuses a field longer than 131,072 characters
+    "annotation_field_too_long": ("annotations.csv",
+                                  lambda t: (t + "v" * 200_000 + ",0.0,1.0,0,0\n").encode(),
+                                  "field larger than field limit"),
+    "verb_field_too_long": ("verbs.csv", lambda t: (t + "6," + "v" * 200_000 + "\n").encode(),
+                            "field larger than field limit"),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(INPUT_DAMAGE))
 def test_malformed_input_is_data_error(gen_dir, tmp_path, capsys, damage):
     name, corrupt, message = INPUT_DAMAGE[damage]
-    inputs = {n: gen_dir / n for n in ("annotations.csv", "features.csv")}
+    inputs = {n: gen_dir / n for n in ("annotations.csv", "features.csv", "verbs.csv")}
     inputs[name] = tmp_path / name
     inputs[name].write_bytes(corrupt((gen_dir / name).read_text(encoding="utf-8")))
     code = run("--out", tmp_path / "t", "train", "--annotations", inputs["annotations.csv"],
-               "--verbs", gen_dir / "verbs.csv", "--nouns", gen_dir / "nouns.csv",
+               "--verbs", inputs["verbs.csv"], "--nouns", gen_dir / "nouns.csv",
                "--features", inputs["features.csv"], "--epochs", 1)
     err = capsys.readouterr().err
     assert code == EXIT_DATA

@@ -1,3 +1,4 @@
+import csv
 import os
 import tempfile
 
@@ -314,6 +315,46 @@ def test_feature_csv_round_trip(tmp_path):
     write_feature_csv(store, path)
     loaded = read_feature_csv(path)
     assert np.array_equal(loaded.features["v0"], store.features["v0"])
+
+
+def _write_feature_csv_oracle(store, path):
+    """The per-value csv.writer writer that write_feature_csv must match byte for byte."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["video_id", "snippet_idx"] + [f"f{i}" for i in range(store.dim)])
+        for vid in sorted(store.features):
+            for idx, row in enumerate(store.features[vid]):
+                writer.writerow([vid, idx] + [repr(float(x)) for x in row])
+
+
+EDGE_VALUES = [-0.0, 1e-05, 1e16, 5e-324, -1.5e300]
+
+
+@pytest.mark.parametrize("dim", [1, 64])
+def test_feature_csv_bytes_match_csv_writer(tmp_path, dim):
+    rng = np.random.default_rng(dim)
+    edge = np.resize(EDGE_VALUES, (len(EDGE_VALUES), dim))
+    store = FeatureStore(features={"v1": rng.normal(size=(3, dim)),
+                                   "v0": np.vstack([edge, rng.normal(size=(4, dim))])},
+                         dim=dim, source="toy")
+    fast, oracle = tmp_path / "fast.csv", tmp_path / "oracle.csv"
+    write_feature_csv(store, fast)
+    _write_feature_csv_oracle(store, oracle)
+    assert fast.read_bytes() == oracle.read_bytes()
+    loaded = read_feature_csv(fast)
+    assert sorted(loaded.features) == ["v0", "v1"]
+    for vid, arr in store.features.items():
+        assert np.array_equal(loaded.features[vid], arr)
+        assert np.array_equal(np.signbit(loaded.features[vid]), np.signbit(arr))
+
+
+def test_feature_csv_quotes_video_ids_like_csv_writer(tmp_path):
+    store = FeatureStore(features={'a"b,c': np.ones((2, 2)), "": np.zeros((1, 2)),
+                                   "line\nbreak": np.full((1, 2), 0.5)}, dim=2)
+    fast, oracle = tmp_path / "fast.csv", tmp_path / "oracle.csv"
+    write_feature_csv(store, fast)
+    _write_feature_csv_oracle(store, oracle)
+    assert fast.read_bytes() == oracle.read_bytes()
 
 
 def test_feature_csv_rows_in_any_order(tmp_path):

@@ -123,6 +123,40 @@ def test_tape_nodes_per_step_pinned(tiny, objective, monkeypatch):
     assert counts and set(counts) == {TAPE_NODES[objective]}
 
 
+def _graph(root):
+    """Every tensor reachable from root, leaves and data inputs included."""
+    nodes, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t._parents)
+    return list(nodes.values())
+
+
+def test_gradients_share_no_memory(tiny, monkeypatch):
+    # grad_check writes .data in place, so a grad aliasing any .data would
+    # corrupt it; a grad aliasing another parameter's grad would let an
+    # in-place edit of one (clipping, scaling) change the other
+    checked = []
+    backward = ad.backward
+
+    def checking(root):
+        backward(root)
+        if not checked:
+            nodes = _graph(root)
+            params = [t for t in nodes if t.requires_grad and not t._parents]
+            assert params and all(p.grad is not None for p in params)
+            checked.extend(not np.shares_memory(p.grad, t.data)
+                           for p in params for t in nodes)
+            checked.extend(not np.shares_memory(p.grad, q.grad)
+                           for i, p in enumerate(params) for q in params[i + 1:])
+
+    monkeypatch.setattr(ad, "backward", checking)
+    train(tiny_config(epochs=1), tiny.corpus, tiny.store, tiny.vocab)
+    assert checked and all(checked)
+
+
 def test_evaluate_model_shapes(tiny):
     cfg = tiny_config()
     model, _ = train(cfg, tiny.corpus, tiny.store, tiny.vocab)
