@@ -281,7 +281,10 @@ def read_annotations(path):
         expected = ["video_id", "start_s", "stop_s", "verb_id", "noun_id"]
         if reader.fieldnames != expected:
             raise DataError(f"{path}: expected header {expected}, got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # physical line: DictReader skips blank ones
+            if None in row:  # DictReader files the fields past the header under None
+                raise DataError(f"{path}:{lineno}: more fields than the header in {row}")
             try:
                 vid = row["video_id"]
                 start, stop = float(row["start_s"]), float(row["stop_s"])
@@ -315,10 +318,12 @@ def read_vocabulary(verb_path, noun_path):
             header = next(reader, None)
             if header != [id_col, "lemma"]:
                 raise DataError(f"{path}: expected header [{id_col}, lemma], got {header}")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                lineno = reader.line_num
                 try:
-                    out[int(row[0])] = row[1]
-                except (IndexError, ValueError):
+                    ident, lemma = row
+                    out[int(ident)] = lemma
+                except ValueError:  # also a row of other than two fields
                     raise DataError(f"{path}:{lineno}: malformed row {row}")
         return out
 

@@ -5,25 +5,16 @@ anticipation horizons, and the squared-uncertainty regularizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
 __all__ = [
-    "AdjustedDistribution",
     "adjust_distribution", "soft_cross_entropy", "anticipation_loss",
     "relative_weights", "mix_features", "srul_loss", "permutation_probability",
     "trul_loss", "trul_loss_batched", "wd_loss",
 ]
-
-
-@dataclass
-class AdjustedDistribution:
-    probs: Tensor
-    log_probs: Tensor
 
 
 def _as_tensor(x):
@@ -31,7 +22,7 @@ def _as_tensor(x):
 
 
 def adjust_distribution(logits, u_hat):
-    """Softmax of logits / u_hat; u_hat acts as a per-sample temperature.
+    """Log-softmax of logits / u_hat; u_hat acts as a per-sample temperature.
 
     logits: (C,) or (B, C); u_hat: positive scalar or (B, 1) tensor.
     """
@@ -39,12 +30,7 @@ def adjust_distribution(logits, u_hat):
     u_hat = _as_tensor(u_hat)
     if not (u_hat.data > 0).all():
         raise ValueError(f"temperature must be positive, got min {u_hat.data.min()}")
-    axis = logits.data.ndim - 1
-    scaled = logits / u_hat
-    return AdjustedDistribution(
-        probs=ad.softmax(scaled, axis=axis),
-        log_probs=ad.log_softmax(scaled, axis=axis),
-    )
+    return ad.log_softmax(logits / u_hat, axis=logits.data.ndim - 1)
 
 
 def soft_cross_entropy(log_probs, labels):
@@ -53,8 +39,8 @@ def soft_cross_entropy(log_probs, labels):
     return ad.neg(ad.tensor_mean(per_row))
 
 
-def anticipation_loss(adjusted, label):
-    """Cross-entropy of the adjusted distribution against a soft label.
+def anticipation_loss(log_probs, label):
+    """Cross-entropy of adjusted log-probs (adjust_distribution) against a soft label.
 
     For a batched distribution the per-sample losses are averaged.
     """
@@ -62,7 +48,7 @@ def anticipation_loss(adjusted, label):
     sums = probs_label.sum(axis=-1)
     if not np.allclose(sums, 1.0, atol=1e-9):
         raise ValueError(f"label rows must sum to 1, got {sums}")
-    return soft_cross_entropy(adjusted.log_probs, probs_label)
+    return soft_cross_entropy(log_probs, probs_label)
 
 
 def relative_weights(u):

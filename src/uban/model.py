@@ -21,8 +21,7 @@ from .autodiff import Tensor
 from .cooccur import DataError
 
 __all__ = [
-    "AnticipationWindow", "BackboneOutput", "UncertaintyEstimate",
-    "DualHeadOutput", "GruBackbone", "AnticipationModel",
+    "AnticipationWindow", "GruBackbone", "AnticipationModel",
     "dual_heads", "mc_dropout_forward",
     "save_checkpoint", "load_checkpoint",
     "U_FLOOR", "U_CEILING", "POOLINGS",
@@ -30,7 +29,9 @@ __all__ = [
 
 U_FLOOR = 0.1
 U_CEILING = 10.0
-POOLINGS = ("mean", "max", "min")
+# how dual_heads pools the per-class uncertainty vector into one temperature
+_POOL = {"mean": ad.tensor_mean, "max": ad.reduce_max, "min": ad.reduce_min}
+POOLINGS = tuple(_POOL)
 
 _CKPT_MAGIC = b"UBANCKPT"
 _CKPT_VERSION = 1
@@ -66,34 +67,28 @@ class AnticipationWindow:
         return [(self.n_a - k) * self.delta for k in range(self.n_a)]
 
 
-@dataclass
-class BackboneOutput:
-    anticipated: list[Tensor]      # one (B, d) feature tensor per step
+def _backbone_shapes(d, h):
+    """Name and shape of every backbone parameter, in init order."""
+    gru = [(f"{prefix}.{kind}{gate}", shape) for prefix in ("enc", "dec") for gate in "zrn"
+           for kind, shape in (("W", (d, h)), ("U", (h, h)), ("b", (1, h)))]
+    return gru + [("dec.Wout", (h, d)), ("dec.bout", (1, d))]
 
 
-@dataclass
-class UncertaintyEstimate:
-    vector: Tensor                 # (B, C), strictly positive
-    scalar: Tensor                 # (B, 1), pooled and clamped
+def _head_shapes(d, c):
+    """Name and shape of every head parameter, in init order."""
+    return [("head.Wc", (d, c)), ("head.bc", (1, c)), ("head.Wu", (d, c)), ("head.bu", (1, c))]
 
 
-@dataclass
-class DualHeadOutput:
-    logits: Tensor                 # (B, C)
-    uncertainty: UncertaintyEstimate
-
-
-def _uniform_init(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-
-def _init_gru(rng, d_in, d_h, prefix):
+def _init_params(rng, shapes):
+    """Zero biases (".b*" names); weights uniform in +-1/sqrt(rows), drawn in table order."""
     params = {}
-    for gate in ("z", "r", "n"):
-        params[f"{prefix}.W{gate}"] = _uniform_init(rng, (d_in, d_h), d_in)
-        params[f"{prefix}.U{gate}"] = _uniform_init(rng, (d_h, d_h), d_h)
-        params[f"{prefix}.b{gate}"] = Tensor(np.zeros((1, d_h)), requires_grad=True)
+    for name, shape in shapes:
+        if name.rpartition(".")[2].startswith("b"):
+            data = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[0])
+            data = rng.uniform(-bound, bound, size=shape)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -109,11 +104,7 @@ class GruBackbone:
         rng = rng if rng is not None else np.random.default_rng(0)
         self.feature_dim = feature_dim
         self.hidden_dim = hidden_dim
-        self.params = {}
-        self.params.update(_init_gru(rng, feature_dim, hidden_dim, "enc"))
-        self.params.update(_init_gru(rng, feature_dim, hidden_dim, "dec"))
-        self.params["dec.Wout"] = _uniform_init(rng, (hidden_dim, feature_dim), hidden_dim)
-        self.params["dec.bout"] = Tensor(np.zeros((1, feature_dim)), requires_grad=True)
+        self.params = _init_params(rng, _backbone_shapes(feature_dim, hidden_dim))
 
     def encode(self, steps):
         """Hidden state after each observed snippet; steps: list of (B, d) tensors."""
@@ -135,7 +126,7 @@ class GruBackbone:
         return anticipated
 
     def anticipate(self, observed, n_a):
-        """observed: (B, n_o, d) array or list of (B, d) tensors."""
+        """observed: (B, n_o, d) array or list of (B, d) tensors -> n_a (B, d) features."""
         if isinstance(observed, np.ndarray):
             if observed.ndim != 3 or observed.shape[2] != self.feature_dim:
                 raise ad.ShapeMismatch(
@@ -146,40 +137,23 @@ class GruBackbone:
         if not steps:
             raise ad.ShapeMismatch("backbone needs at least one observed snippet")
         states = self.encode(steps)
-        return BackboneOutput(anticipated=self.decode(states[-1], steps[-1], n_a))
-
-
-def _init_heads(rng, feature_dim, num_classes):
-    return {
-        "head.Wc": _uniform_init(rng, (feature_dim, num_classes), feature_dim),
-        "head.bc": Tensor(np.zeros((1, num_classes)), requires_grad=True),
-        "head.Wu": _uniform_init(rng, (feature_dim, num_classes), feature_dim),
-        "head.bu": Tensor(np.zeros((1, num_classes)), requires_grad=True),
-    }
+        return self.decode(states[-1], steps[-1], n_a)
 
 
 def dual_heads(feature, params, pooling="mean"):
     """Apply both heads to an anticipated feature tensor of shape (B, d).
 
-    The uncertainty vector is softplus(raw) + U_FLOOR, so it is strictly
-    positive; the pooled scalar is clamped to [U_FLOOR, U_CEILING] before it
-    is used as a temperature.
+    Returns (logits (B, C), u (B, 1)).  The per-class uncertainty vector is
+    softplus(raw) + U_FLOOR, so it is strictly positive; u is its pooled
+    value clamped to [U_FLOOR, U_CEILING], the temperature of the softmax.
     """
     logits = ad.matmul(feature, params["head.Wc"]) + params["head.bc"]
     raw = ad.matmul(feature, params["head.Wu"]) + params["head.bu"]
     vector = ad.softplus(raw) + Tensor(U_FLOOR)
-    if pooling == "mean":
-        pooled = ad.tensor_mean(vector, axis=1, keepdims=True)
-    elif pooling == "max":
-        pooled = ad.reduce_max(vector, axis=1, keepdims=True)
-    elif pooling == "min":
-        pooled = ad.reduce_min(vector, axis=1, keepdims=True)
-    else:
+    if pooling not in _POOL:
         raise ValueError(f"unknown pooling {pooling!r}")
-    scalar = ad.clip(pooled, U_FLOOR, U_CEILING)
-    return DualHeadOutput(
-        logits=logits,
-        uncertainty=UncertaintyEstimate(vector=vector, scalar=scalar))
+    pooled = _POOL[pooling](vector, axis=1, keepdims=True)
+    return logits, ad.clip(pooled, U_FLOOR, U_CEILING)
 
 
 class AnticipationModel:
@@ -192,19 +166,16 @@ class AnticipationModel:
         self.num_classes = num_classes
         self.pooling = pooling
         self.backbone = GruBackbone(feature_dim, hidden_dim, rng)
-        self.head_params = _init_heads(rng, feature_dim, num_classes)
+        self.head_params = _init_params(rng, _head_shapes(feature_dim, num_classes))
 
     @property
     def params(self):
-        merged = dict(self.backbone.params)
-        merged.update(self.head_params)
-        return merged
+        return {**self.backbone.params, **self.head_params}
 
     def forward(self, observed, n_a):
-        """Run backbone and heads; one DualHeadOutput per anticipation step."""
-        out = self.backbone.anticipate(observed, n_a)
-        heads = [dual_heads(f, self.head_params, self.pooling) for f in out.anticipated]
-        return out, heads
+        """Run backbone and heads: (anticipated features, (logits, u) per step)."""
+        anticipated = self.backbone.anticipate(observed, n_a)
+        return anticipated, [dual_heads(f, self.head_params, self.pooling) for f in anticipated]
 
     def predict(self, observed, n_a):
         """Temperature-adjusted probabilities and pooled uncertainties (numpy).
@@ -213,14 +184,14 @@ class AnticipationModel:
         """
         with ad.no_grad():
             _, heads = self.forward(observed, n_a)
-            probs = [_adjusted_probs(h) for h in heads]
-        unc = [h.uncertainty.scalar.data[:, 0] for h in heads]
+            probs = [_adjusted_probs(logits, u) for logits, u in heads]
+        unc = [u.data[:, 0] for _, u in heads]
         return np.stack(probs, axis=1), np.stack(unc, axis=1)  # (B, n_a, C), (B, n_a)
 
 
-def _adjusted_probs(head):
-    """softmax(logits / pooled uncertainty) of one DualHeadOutput, as numpy."""
-    return ad.softmax(head.logits / head.uncertainty.scalar, axis=1).data
+def _adjusted_probs(logits, u):
+    """softmax(logits / u) as numpy: the temperature-adjusted distribution."""
+    return ad.softmax(logits / u, axis=1).data
 
 
 def mc_dropout_forward(model, observed, n_a, passes, drop_rate, seed=0):
@@ -242,13 +213,13 @@ def mc_dropout_forward(model, observed, n_a, passes, drop_rate, seed=0):
     eps = 1e-12
     prob_sum = entropy_sum = 0.0
     with ad.no_grad():
-        anticipated = model.backbone.anticipate(observed, n_a).anticipated
+        anticipated = model.backbone.anticipate(observed, n_a)
         for _ in range(passes):
             probs = []
             for feat in anticipated:
                 mask = (rng.random(feat.data.shape) < keep) / keep
-                head = dual_heads(feat * Tensor(mask), model.head_params, model.pooling)
-                probs.append(_adjusted_probs(head))
+                probs.append(_adjusted_probs(
+                    *dual_heads(feat * Tensor(mask), model.head_params, model.pooling)))
             probs = np.stack(probs, axis=1)  # (B, n_a, C)
             prob_sum += probs
             entropy_sum -= (probs * np.log(probs + eps)).sum(axis=-1)
@@ -291,12 +262,8 @@ def save_checkpoint(path, model, meta=None):
 
 def _parameter_shapes(feature_dim, hidden_dim, num_classes):
     """Name -> shape of every AnticipationModel parameter, without building one."""
-    d, h, c = feature_dim, hidden_dim, num_classes
-    shapes = {f"{prefix}.{kind}{gate}": shape for prefix in ("enc", "dec") for gate in "zrn"
-              for kind, shape in (("W", (d, h)), ("U", (h, h)), ("b", (1, h)))}
-    shapes.update({"dec.Wout": (h, d), "dec.bout": (1, d), "head.Wc": (d, c),
-                   "head.bc": (1, c), "head.Wu": (d, c), "head.bu": (1, c)})
-    return shapes
+    return dict(_backbone_shapes(feature_dim, hidden_dim)
+                + _head_shapes(feature_dim, num_classes))
 
 
 def load_checkpoint(path):

@@ -61,8 +61,10 @@ class TrainConfig:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.alpha < 1.0:
             raise DataError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.beta < 0 or self.gamma < 0:
-            raise DataError("beta and gamma must be nonnegative")
+        if min(self.beta, self.gamma, self.momentum, self.weight_decay) < 0:
+            raise DataError("beta, gamma, momentum and weight_decay must be nonnegative")
+        if self.learning_rate <= 0:
+            raise DataError(f"learning_rate must be positive, got {self.learning_rate}")
         try:
             self.window()
         except ValueError as exc:
@@ -138,15 +140,13 @@ def _mixed_log_probs(model, anticipated, heads):
     i_idx = list(range(0, 2 * P, 2))
     j_idx = list(range(1, 2 * P, 2))
     log_probs = []
-    for feat, head in zip(anticipated, heads):
-        u = head.uncertainty.scalar
+    for feat, (_, u) in zip(anticipated, heads):
         weights = relative_weights(
             ad.concat([ad.gather_rows(u, i_idx), ad.gather_rows(u, j_idx)], axis=1))
         mixed = (ad.gather_rows(feat, i_idx) * weights[:, 0:1]
                  + ad.gather_rows(feat, j_idx) * weights[:, 1:2])
-        mixed_head = dual_heads(mixed, model.head_params, model.pooling)
-        log_probs.append(adjust_distribution(mixed_head.logits,
-                                             mixed_head.uncertainty.scalar).log_probs)
+        log_probs.append(adjust_distribution(*dual_heads(mixed, model.head_params,
+                                                         model.pooling)))
     return log_probs
 
 
@@ -163,8 +163,8 @@ def _family_uncertainty(model, observed, members):
     columns = []
     for n_o, n_a in members:
         anticipated = model.backbone.decode(states[n_o - 1], steps[n_o - 1], n_a)
-        head = dual_heads(anticipated[-1], model.head_params, model.pooling)
-        columns.append(head.uncertainty.scalar)
+        _, u = dual_heads(anticipated[-1], model.head_params, model.pooling)
+        columns.append(u)
     return ad.concat(columns, axis=1)
 
 
@@ -210,12 +210,12 @@ def train(config, corpus, store, vocab, log_path=None, external_matrix=None):
             batches = pair_batches(targets, config.batch_size, epoch_seed)
         for batch in batches:
             flat = batch if plain else np.ravel(batch)
-            backbone_out, heads = model.forward(observed[flat], window.n_a)
+            anticipated, heads = model.forward(observed[flat], window.n_a)
 
             if plain:
                 labels = onehot[targets[flat]]
-                ces = [soft_cross_entropy(ad.log_softmax(head.logits, axis=1), labels)
-                       for head in heads]
+                ces = [soft_cross_entropy(ad.log_softmax(logits, axis=1), labels)
+                       for logits, _ in heads]
                 loss = sum(ces[1:], ces[0]) * Tensor(1.0 / len(ces))
                 logged = {"l_srul": float(loss.data), "l_trul": 0.0, "l_wd": 0.0,
                           "mean_u": 0.0}
@@ -223,8 +223,8 @@ def train(config, corpus, store, vocab, log_path=None, external_matrix=None):
                 pair_labels = _pair_label_rows(targets[flat].reshape(-1, 2).tolist(), sets,
                                                config.alpha, C, pair_cache)
                 l_srul = srul_loss(
-                    _mixed_log_probs(model, backbone_out.anticipated, heads), pair_labels)
-                u_all = [head.uncertainty.scalar for head in heads]
+                    _mixed_log_probs(model, anticipated, heads), pair_labels)
+                u_all = [u for _, u in heads]
                 l_wd = wd_loss(ad.concat(u_all, axis=1))
                 if F and config.beta > 0:
                     take = min(config.families_per_step, F)

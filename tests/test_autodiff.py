@@ -115,6 +115,7 @@ def test_grad_check_quadratic():
     assert grad_check(loss, [t], step=1e-5) < 1e-7
 
 
+@pytest.mark.filterwarnings("default:invalid value encountered in log:RuntimeWarning")
 def test_grad_check_reports_nonfinite():
     def loss(t):
         return ad.tensor_sum(ad.log(t))

@@ -295,6 +295,7 @@ def test_bad_checkpoint_is_data_error(gen_dir, train_dir, tmp_path, capsys, dama
     "gamma=-1e-6", "pooling=median", "batch_size=1", "epochs=0", "epochs=abc",
     "families_per_step=0", "hidden_dim=0", "tau_o=1e308", "delta=1e-300",
     "learning_rate=nan", "momentum=inf", "weight_decay=-inf", "gamma=nan",
+    "learning_rate=0", "learning_rate=-1", "momentum=-5", "weight_decay=-1",
 ])
 def test_invalid_train_config_is_data_error(gen_dir, tmp_path, capsys, line):
     config = tmp_path / "bad.cfg"
@@ -380,6 +381,15 @@ INPUT_DAMAGE = {
                                   "field larger than field limit"),
     "verb_field_too_long": ("verbs.csv", lambda t: (t + "6," + "v" * 200_000 + "\n").encode(),
                             "field larger than field limit"),
+    "annotation_extra_column": ("annotations.csv",
+                                lambda t: (t + "vid0000,0.0,1.0,0,0,EXTRA,MORE\n").encode(),
+                                "annotations.csv:50: more fields than the header"),
+    "verb_extra_column": ("verbs.csv", lambda t: (t + "0,a,EXTRA\n").encode(),
+                          "verbs.csv:8: malformed row"),
+    # the message names the physical line, counting the blank lines the reader skips
+    "annotation_after_blank_lines": ("annotations.csv",
+                                     lambda t: (t + "\n\nvid0000,x,1.0,0,0\n").encode(),
+                                     "annotations.csv:52: malformed row"),
 }
 
 

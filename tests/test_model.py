@@ -32,8 +32,8 @@ def test_window_rejects_non_multiples():
 def test_backbone_emits_one_feature_per_step():
     backbone = GruBackbone(feature_dim=5, hidden_dim=7)
     out = backbone.anticipate(np.zeros((3, 4, 5)), n_a=6)
-    assert len(out.anticipated) == 6
-    assert all(f.data.shape == (3, 5) for f in out.anticipated)
+    assert len(out) == 6
+    assert all(f.data.shape == (3, 5) for f in out)
 
 
 def test_backbone_rejects_wrong_feature_dim():
@@ -50,7 +50,7 @@ def test_zero_weights_fixed_point():
     for t in backbone.params.values():
         t.data = np.zeros_like(t.data)
     out = backbone.anticipate(np.zeros((2, 3, 4)), n_a=5)
-    for f in out.anticipated:
+    for f in out:
         assert not f.data.any()
 
 
@@ -60,7 +60,7 @@ def test_backbone_same_seed_bitwise_identical():
     for _ in range(2):
         backbone = GruBackbone(4, 8, rng=np.random.default_rng(3))
         out = backbone.anticipate(obs, n_a=3)
-        outs.append(np.stack([f.data for f in out.anticipated]))
+        outs.append(np.stack([f.data for f in out]))
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -103,31 +103,30 @@ def test_fused_gru_step_matches_composite(prefix):
 
 def test_uncertainty_vector_positive_and_scalar_clamped():
     rng = np.random.default_rng(2)
-    from uban.model import _init_heads
-    params = _init_heads(rng, 6, 9)
+    from uban.model import _head_shapes, _init_params
+    params = _init_params(rng, _head_shapes(6, 9))
     feat = Tensor(rng.normal(scale=50.0, size=(4, 6)))
     for pooling in ("mean", "max", "min"):
-        out = dual_heads(feat, params, pooling)
-        assert (out.uncertainty.vector.data > 0).all()
-        s = out.uncertainty.scalar.data
+        _, u = dual_heads(feat, params, pooling)
+        s = u.data
         assert s.shape == (4, 1)
         assert (s >= U_FLOOR).all() and (s <= U_CEILING).all()
 
 
 def test_pooling_modes_ordered():
     rng = np.random.default_rng(4)
-    from uban.model import _init_heads
-    params = _init_heads(rng, 6, 9)
+    from uban.model import _head_shapes, _init_params
+    params = _init_params(rng, _head_shapes(6, 9))
     feat = Tensor(rng.normal(size=(3, 6)))
-    lo = dual_heads(feat, params, "min").uncertainty.scalar.data
-    mid = dual_heads(feat, params, "mean").uncertainty.scalar.data
-    hi = dual_heads(feat, params, "max").uncertainty.scalar.data
+    lo = dual_heads(feat, params, "min")[1].data
+    mid = dual_heads(feat, params, "mean")[1].data
+    hi = dual_heads(feat, params, "max")[1].data
     assert (lo <= mid).all() and (mid <= hi).all()
 
 
 def test_unknown_pooling_rejected():
-    from uban.model import _init_heads
-    params = _init_heads(np.random.default_rng(0), 3, 4)
+    from uban.model import _head_shapes, _init_params
+    params = _init_params(np.random.default_rng(0), _head_shapes(3, 4))
     with pytest.raises(ValueError, match="pooling"):
         dual_heads(Tensor(np.zeros((1, 3))), params, "median")
 
@@ -147,11 +146,11 @@ def test_predict_matches_the_recorded_forward():
     obs = np.random.default_rng(0).normal(size=(3, 4, 5))
     probs, unc = model.predict(obs, n_a=4)
     _, heads = model.forward(obs, n_a=4)
-    assert heads[0].logits.requires_grad
-    for k, h in enumerate(heads):
-        adjusted = ad.softmax(h.logits / h.uncertainty.scalar, axis=1)
+    assert heads[0][0].requires_grad
+    for k, (logits, u) in enumerate(heads):
+        adjusted = ad.softmax(logits / u, axis=1)
         assert np.array_equal(probs[:, k], adjusted.data)
-        assert np.array_equal(unc[:, k], h.uncertainty.scalar.data[:, 0])
+        assert np.array_equal(unc[:, k], u.data[:, 0])
 
 
 def test_gradient_through_backbone_and_heads():
@@ -162,8 +161,8 @@ def test_gradient_through_backbone_and_heads():
 
     def loss_fn(*_):
         _, heads = model.forward(obs, n_a=2)
-        h = heads[-1]
-        lp = ad.log_softmax(h.logits / h.uncertainty.scalar, axis=1)
+        logits, u = heads[-1]
+        lp = ad.log_softmax(logits / u, axis=1)
         return ad.neg(ad.tensor_mean(ad.tensor_sum(lp * Tensor(label), axis=1)))
 
     err = ad.grad_check(loss_fn, list(model.params.values()), step=1e-6, wrt=wrt)
@@ -230,11 +229,10 @@ def _mc_dropout_per_pass(model, observed, n_a, passes, drop_rate, seed):
     for _ in range(passes):
         out = model.backbone.anticipate(observed, n_a)
         step_probs = []
-        for feat in out.anticipated:
+        for feat in out:
             mask = (rng.random(feat.data.shape) < keep) / keep
-            head = dual_heads(feat * Tensor(mask), model.head_params, model.pooling)
-            step_probs.append(
-                ad.softmax(head.logits / head.uncertainty.scalar, axis=1).data)
+            logits, u = dual_heads(feat * Tensor(mask), model.head_params, model.pooling)
+            step_probs.append(ad.softmax(logits / u, axis=1).data)
         all_probs.append(np.stack(step_probs, axis=1))
     all_probs = np.stack(all_probs, axis=0)  # (passes, B, n_a, C)
     mean_probs = all_probs.mean(axis=0)

@@ -96,8 +96,8 @@ def test_family_uncertainty_matches_per_member_unroll(tiny):
     columns = []
     for n_o, n_a in members:
         out = model.backbone.anticipate(observed[:, :n_o], n_a)
-        head = dual_heads(out.anticipated[-1], model.head_params, model.pooling)
-        columns.append(head.uncertainty.scalar.data[:, 0])
+        _, u = dual_heads(out[-1], model.head_params, model.pooling)
+        columns.append(u.data[:, 0])
     shared = _family_uncertainty(model, observed, members).data
     assert shared.shape == (len(observed), len(cfg.tau_a_grid))
     assert np.array_equal(shared, np.stack(columns, axis=1))
