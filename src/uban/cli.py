@@ -355,7 +355,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="uban",
         description="Uncertainty-boosted activity anticipation toolkit")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_checked(int, lambda s: s >= 0, ">= 0"), default=0)
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default="out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -312,7 +312,7 @@ def read_vocabulary(verb_path, noun_path):
     """Vocabulary CSV pair (id,lemma each); activity i is the pair (i, i)."""
 
     def read_map(path, id_col):
-        out = {}
+        out, first_line = {}, {}
         with _text_errors(path), open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -322,9 +322,13 @@ def read_vocabulary(verb_path, noun_path):
                 lineno = reader.line_num
                 try:
                     ident, lemma = row
-                    out[int(ident)] = lemma
+                    ident = int(ident)
                 except ValueError:  # also a row of other than two fields
                     raise DataError(f"{path}:{lineno}: malformed row {row}")
+                if ident in out:
+                    raise DataError(f"{path}:{lineno}: {id_col} {ident} repeats line "
+                                    f"{first_line[ident]}")
+                out[ident], first_line[ident] = lemma, lineno
         return out
 
     verbs = read_map(verb_path, "verb_id")

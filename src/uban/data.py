@@ -9,8 +9,14 @@ truth successor table so co-occurrence statistics can be checked exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
+import json
+import os
+import struct
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,10 +267,31 @@ def read_feature_csv(path):
     a `video_id,snippet_idx,f0,...` header, then one unquoted row per snippet.
 
     The value columns are parsed in one numpy call; any malformed part of the
-    file raises DataError.
+    file raises DataError.  A successful parse leaves a binary copy of the
+    result beside the file (`<name>.uban-cache`, keyed by the sha256 of the
+    CSV bytes), and a later read of the same bytes loads it instead of
+    parsing.  The cache never changes a result or an error: a cache that
+    fails any check is ignored and rewritten, and deleting it is always safe.
     """
-    with _text_errors(path), open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    digest = hashlib.sha256(raw).hexdigest()
+    cache = os.fsdecode(path) + _CACHE_SUFFIX
+    store = _load_feature_cache(cache, digest)
+    if store is not None:
+        return store
+    with _text_errors(path):
+        text = raw.decode("utf-8")
+    del raw  # one copy of the file at a time, as a text-mode read holds
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
+    lines = text.split("\n")
+    del text
+    store = _parse_feature_lines(path, lines)
+    _write_feature_cache(cache, digest, store)
+    return store
+
+
+def _parse_feature_lines(path, lines):
     header = lines[0].split(",")
     if header[:2] != ["video_id", "snippet_idx"] or len(header) < 3:
         raise DataError(f"{path}: bad feature header {header}")
@@ -292,6 +319,88 @@ def read_feature_csv(path):
             raise DataError(f"{path}: video {vid} snippet indices not contiguous from 0")
         features[vid] = values[[r for _, r in entries]]
     return FeatureStore(features=features, dim=dim, source="ingested")
+
+
+# Feature cache: magic, u32 version, u32 header length, a sorted-keys JSON
+# header, then every video's rows as little-endian float64, in store order.
+# The header names the CSV digest, dim, [[video_id, rows], ...], the payload
+# digest, and header_sha256, the digest of its other fields, so an edit to a
+# video id or a row count cannot pass for a valid cache.
+_CACHE_MAGIC = b"UBANFEAT"
+_CACHE_VERSION = 1
+_CACHE_SUFFIX = ".uban-cache"
+_CACHE_PREFIX = struct.Struct("<II")  # version, header length
+
+
+def _cache_header(csv_sha256, dim, videos, payload_sha256):
+    fields = {"csv_sha256": csv_sha256, "dim": dim, "payload_sha256": payload_sha256,
+              "videos": videos}
+    check = hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+    return json.dumps(fields | {"header_sha256": check}, sort_keys=True).encode()
+
+
+def _write_feature_cache(cache, digest, store):
+    """Write store's cache atomically; a cache that cannot be written is skipped."""
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for a in store.features.values()]
+    payload = hashlib.sha256()
+    for arr in arrays:
+        payload.update(arr)
+    header = _cache_header(digest, store.dim,
+                           [[vid, len(arr)] for vid, arr in zip(store.features, arrays)],
+                           payload.hexdigest())
+    directory, name = os.path.split(os.path.abspath(cache))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f"{name}.", suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(_CACHE_MAGIC + _CACHE_PREFIX.pack(_CACHE_VERSION, len(header)) + header)
+            for arr in arrays:
+                fh.write(arr)
+        os.replace(tmp, cache)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _load_feature_cache(cache, digest):
+    """The FeatureStore cached for CSV bytes of this digest, or None."""
+    try:
+        with open(cache, "rb") as fh:
+            blob = fh.read()
+    except OSError:
+        return None
+    start = len(_CACHE_MAGIC) + _CACHE_PREFIX.size
+    if len(blob) < start or not blob.startswith(_CACHE_MAGIC):
+        return None
+    version, header_len = _CACHE_PREFIX.unpack_from(blob, len(_CACHE_MAGIC))
+    end = start + header_len
+    if version != _CACHE_VERSION:
+        return None
+    try:
+        header = json.loads(blob[start:end])
+        dim, videos, payload_sha256 = header["dim"], header["videos"], header["payload_sha256"]
+        if blob[start:end] != _cache_header(digest, dim, videos, payload_sha256):
+            return None
+    except (ValueError, TypeError, KeyError, RecursionError):
+        return None
+    if (type(dim) is not int or dim < 1 or not isinstance(videos, list)
+            or not all(type(v) is list and len(v) == 2 and type(v[0]) is str
+                       and type(v[1]) is int and v[1] >= 1 for v in videos)
+            or len(dict(videos)) != len(videos)
+            or len(blob) - end != 8 * dim * sum(n for _, n in videos)
+            or hashlib.sha256(memoryview(blob)[end:]).hexdigest() != payload_sha256):
+        return None
+    features, offset = {}, end
+    for vid, n in videos:
+        features[vid] = np.frombuffer(blob, "<f8", n * dim, offset).reshape(n, dim).astype(
+            np.float64)  # a writeable copy in native byte order
+        offset += 8 * n * dim
+    try:
+        return FeatureStore(features=features, dim=dim, source="ingested")
+    except DataError:  # non-finite values
+        return None
 
 
 def write_annotation_csv(corpus, vocab, path):

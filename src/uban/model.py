@@ -213,13 +213,14 @@ def mc_dropout_forward(model, observed, n_a, passes, drop_rate, seed=0):
     eps = 1e-12
     prob_sum = entropy_sum = 0.0
     with ad.no_grad():
-        anticipated = model.backbone.anticipate(observed, n_a)
+        # x * (1/keep) * draw equals x * (draw / keep) bit for bit, zero signs too
+        scaled = [feat.data * (1.0 / keep) for feat in model.backbone.anticipate(observed, n_a)]
         for _ in range(passes):
             probs = []
-            for feat in anticipated:
-                mask = (rng.random(feat.data.shape) < keep) / keep
+            for feat in scaled:
+                dropped = Tensor(feat * (rng.random(feat.shape) < keep))
                 probs.append(_adjusted_probs(
-                    *dual_heads(feat * Tensor(mask), model.head_params, model.pooling)))
+                    *dual_heads(dropped, model.head_params, model.pooling)))
             probs = np.stack(probs, axis=1)  # (B, n_a, C)
             prob_sum += probs
             entropy_sum -= (probs * np.log(probs + eps)).sum(axis=-1)

@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uban.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from uban.cooccur import corpus_from_rows, read_annotations, read_vocabulary
@@ -142,6 +146,8 @@ def test_unknown_tau_a_is_data_error(gen_dir, train_dir, tmp_path):
 def test_usage_errors(tmp_path):
     assert run("frobnicate") == EXIT_USAGE
     assert run("train") == EXIT_USAGE  # missing required corpus arguments
+    assert run("--seed", -1, "--out", tmp_path / "g", "gen") == EXIT_USAGE
+    assert not (tmp_path / "g").exists()
 
 
 @pytest.mark.parametrize("mode, flags", [
@@ -386,6 +392,8 @@ INPUT_DAMAGE = {
                                 "annotations.csv:50: more fields than the header"),
     "verb_extra_column": ("verbs.csv", lambda t: (t + "0,a,EXTRA\n").encode(),
                           "verbs.csv:8: malformed row"),
+    "verb_duplicate_id": ("verbs.csv", lambda t: (t + "0,wash\n").encode(),
+                          "verbs.csv:8: verb_id 0 repeats line 2"),
     # the message names the physical line, counting the blank lines the reader skips
     "annotation_after_blank_lines": ("annotations.csv",
                                      lambda t: (t + "\n\nvid0000,x,1.0,0,0\n").encode(),
@@ -498,3 +506,97 @@ def test_eval_outputs_pinned(gen_dir, train_dir, tmp_path, mode):
                "--features", gen_dir / "features.csv",
                "--checkpoint", train_dir / "model.ckpt", "--mode", mode) == EXIT_OK
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under random config files and mutated argv
+
+CONFIG_KEYS = ["alpha", "beta", "gamma", "learning_rate", "momentum", "weight_decay",
+               "batch_size", "epochs", "tau_o", "tau_a", "delta", "hidden_dim", "pooling",
+               "families_per_step", "seed", "tau_a_grid", "warp_speed", ""]
+# small positive ints only: a large epochs, hidden_dim or batch count would be slow
+CONFIG_VALUES = ["0", "-1", "1", "2", "3", "0.5", "0.25", "1.5", "-0.0", "1e-300", "5e-324",
+                 "1e308", "nan", "inf", "-inf", "", "x", "mean", "max", "1e3", "0x3", "1_0"]
+GLOBAL_FLAGS = ["--seed", "--config", "--out"]
+FLAGS = GLOBAL_FLAGS + [
+    "--epochs", "--passes", "--mode", "--tau-a", "--etas", "--bins", "--fractions",
+    "--drop-rate", "--batch-size", "--learning-rate", "--alpha", "--beta", "--gamma",
+    "--profile", "--features", "--checkpoint", "--annotations", "--verbs", "--nouns",
+    "--edges", "--classes", "-h"]
+VALUES = ["-1", "0", "1", "2", "0.25", "0.5", "0.99", "-0.0", "nan", "inf", "-inf", "1e308",
+          "x", "", "desk", "metrics", "noise", "mcdropout", "reject", "train", "{missing}",
+          "{tmp}", "{annotations}", "{features}", "{verbs}", "{checkpoint}"]
+
+
+def _config_lines():
+    line = st.one_of(
+        st.builds("{}{}{}".format, st.sampled_from(CONFIG_KEYS),
+                  st.sampled_from(["=", " = ", "==", ":"]), st.sampled_from(CONFIG_VALUES)),
+        st.sampled_from(["# comment", "epochs", "=", "pooling=mean # trailing"]),
+        st.text(max_size=12))
+    return st.lists(line, max_size=5).map(lambda lines: "\n".join(lines).encode())
+
+
+# an edit sets a flag's value (adding the flag if it is absent), deletes a
+# token or inserts one anywhere
+_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+    st.tuples(st.just("delete"), st.integers(0, 40), st.just("")),
+    st.tuples(st.just("insert"), st.integers(0, 40), st.sampled_from(FLAGS + VALUES))),
+    max_size=3)
+
+
+def _mutate(argv, edits, paths):
+    argv = list(argv)
+    for kind, where, token in edits:
+        token = token.format(**paths)
+        if kind == "set" and where in argv[:-1]:
+            argv[argv.index(where) + 1] = token
+        elif kind == "set":
+            argv = [where, token, *argv] if where in GLOBAL_FLAGS else [*argv, where, token]
+        elif kind == "insert":
+            argv.insert(where % (len(argv) + 1), token)
+        elif argv:
+            del argv[where % len(argv)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(gen_dir, train_dir, tmp_path_factory):
+    """A private copy of the fixture corpus: a mutated argv may name it as an input."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for name in ("annotations.csv", "features.csv", "verbs.csv", "nouns.csv"):
+        (root / name).write_bytes((gen_dir / name).read_bytes())
+    (root / "model.ckpt").write_bytes((train_dir / "model.ckpt").read_bytes())
+    return root
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["train", "eval", "stats"]),
+       mode=st.sampled_from(["metrics", "noise", "mcdropout", "reject", "histogram",
+                             "norms", "partitions"]),
+       config=st.none() | _config_lines(), edits=_EDITS)
+def test_cli_fuzz_keeps_the_exit_code_contract(fuzz_corpus, command, mode, config, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {"missing": str(tmp / "missing.csv"), "tmp": str(tmp),
+                 "annotations": str(fuzz_corpus / "annotations.csv"),
+                 "features": str(fuzz_corpus / "features.csv"),
+                 "verbs": str(fuzz_corpus / "verbs.csv"),
+                 "checkpoint": str(fuzz_corpus / "model.ckpt")}
+        argv = ["--out", str(tmp / "out")]
+        if config is not None:
+            (tmp / "run.cfg").write_bytes(config)
+            argv += ["--config", str(tmp / "run.cfg")]
+        argv += [command, *map(str, corpus_args(fuzz_corpus))]
+        if command == "train":
+            argv += ["--features", paths["features"], "--epochs", "1"]
+        elif command == "eval":
+            argv += ["--features", paths["features"], "--checkpoint", paths["checkpoint"],
+                     "--mode", mode, "--passes", "2"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(_mutate(argv, edits, paths))
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+    assert "Traceback" not in err.getvalue()

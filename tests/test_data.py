@@ -1,6 +1,10 @@
 import csv
+import hashlib
+import json
 import os
+import struct
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,13 +398,14 @@ def test_feature_csv_defects_are_data_errors(tmp_path, defect):
     path.write_bytes(blob)
     with pytest.raises(DataError, match=message):
         read_feature_csv(path)
+    assert list(tmp_path.iterdir()) == [path]  # a file that fails to parse gets no cache
 
 
 def _read_feature_bytes(blob):
     """read_feature_csv on a file holding blob: a FeatureStore or a DataError."""
-    fd, path = tempfile.mkstemp(suffix=".csv")
-    try:
-        with os.fdopen(fd, "wb") as fh:
+    with tempfile.TemporaryDirectory() as tmp:  # also removes the cache a good read leaves
+        path = os.path.join(tmp, "features.csv")
+        with open(path, "wb") as fh:
             fh.write(blob)
         try:
             store = read_feature_csv(path)
@@ -408,8 +413,6 @@ def _read_feature_bytes(blob):
             return None
         assert isinstance(store, FeatureStore)
         return store
-    finally:
-        os.unlink(path)
 
 
 @settings(max_examples=150, deadline=None)
@@ -417,6 +420,19 @@ def _read_feature_bytes(blob):
 def test_read_feature_csv_fuzz_bytes(blob):
     _read_feature_bytes(b"video_id,snippet_idx,f0\n" + blob)
     _read_feature_bytes(blob)
+
+
+def _edit(blob, edits):
+    """blob after (kind, position, piece) replacements, insertions and deletions."""
+    for kind, pos, piece in edits:
+        pos = min(pos, len(blob))
+        if kind == "insert":
+            blob = blob[:pos] + piece + blob[pos:]
+        elif kind == "replace":
+            blob = blob[:pos] + piece + blob[pos + 1:]
+        else:
+            blob = blob[:pos] + blob[pos + 1:]
+    return blob
 
 
 VALID_FEATURES = (b"video_id,snippet_idx,f0,f1\r\n"
@@ -430,16 +446,167 @@ MUTATION_BYTES = [b",", b"\n", b"\r", b'"', b"#", b"\x00", b"\xff", b" ", b"-",
                           st.integers(0, len(VALID_FEATURES) - 1),
                           st.sampled_from(MUTATION_BYTES)), min_size=1, max_size=4))
 def test_read_feature_csv_fuzz_mutations(edits):
-    blob = VALID_FEATURES
-    for kind, pos, piece in edits:
-        pos = min(pos, len(blob))
-        if kind == "insert":
-            blob = blob[:pos] + piece + blob[pos:]
-        elif kind == "replace":
-            blob = blob[:pos] + piece + blob[pos + 1:]
-        else:
-            blob = blob[:pos] + blob[pos + 1:]
-    store = _read_feature_bytes(blob)
+    store = _read_feature_bytes(_edit(VALID_FEATURES, edits))
     if store is not None:
         assert all(np.isfinite(a).all() and a.shape[1] == store.dim
                    for a in store.features.values())
+
+
+# ---------------------------------------------------------------------------
+# the binary cache read_feature_csv leaves beside a feature CSV
+
+def _cache(path):
+    return Path(f"{path}.uban-cache")
+
+
+def _assert_same_store(got, want):
+    assert list(got.features) == list(want.features)
+    assert (got.dim, got.source) == (want.dim, want.source)
+    for vid, arr in want.features.items():
+        assert got.features[vid].dtype == np.float64 and got.features[vid].flags.writeable
+        assert np.array_equal(got.features[vid], arr)
+        assert np.array_equal(np.signbit(got.features[vid]), np.signbit(arr))
+
+
+def _forbid_parse(monkeypatch):
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("a cache hit parsed the CSV")
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+
+
+def _write_unsorted_features(path):
+    """Videos out of sorted order, rows out of snippet order, edge values."""
+    rows = ["video_id,snippet_idx,f0,f1", "b,1,1.5,-0.0", "A,0,5e-324,-1.5e300",
+            "b,0,0.25,1e16", "b,2,1e-05,7"]
+    path.write_text("\r\n".join(rows) + "\r\n", encoding="utf-8")
+
+
+def test_feature_cache_hit_matches_the_parse(tmp_path, monkeypatch):
+    path = tmp_path / "features.csv"
+    _write_unsorted_features(path)
+    parsed = read_feature_csv(path)
+    assert list(parsed.features) == ["b", "A"] and _cache(path).is_file()
+    _forbid_parse(monkeypatch)
+    _assert_same_store(read_feature_csv(path), parsed)
+
+
+def _sha256(blob):
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _forge_cache(csv_bytes, dim, videos, payload, version=1):
+    """Cache bytes in the documented format, from any fields."""
+    fields = {"csv_sha256": _sha256(csv_bytes), "dim": dim,
+              "payload_sha256": _sha256(payload), "videos": videos}
+    fields["header_sha256"] = _sha256(json.dumps(fields, sort_keys=True).encode())
+    header = json.dumps(fields, sort_keys=True).encode()
+    return b"UBANFEAT" + struct.pack("<II", version, len(header)) + header + payload
+
+
+def test_feature_cache_format(tmp_path):
+    path = tmp_path / "features.csv"
+    _write_unsorted_features(path)
+    store = read_feature_csv(path)
+    payload = np.concatenate([store.features["b"], store.features["A"]]).astype("<f8")
+    assert _cache(path).read_bytes() == _forge_cache(
+        path.read_bytes(), 2, [["b", 3], ["A", 1]], payload.tobytes())
+
+
+# (CSV bytes, payload, valid cache) -> a cache read_feature_csv must not use: edits
+# of the valid cache, then forgeries whose digests match but whose fields no
+# parse gives
+BAD_CACHES = {
+    "renamed_video": lambda csv, p, valid: valid.replace(b'["b", 3]', b'["c", 3]'),
+    "swapped_rows": lambda csv, p, valid: valid.replace(b'[["b", 3], ["A", 1]]',
+                                                        b'[["b", 1], ["A", 3]]'),
+    "payload_bit": lambda csv, p, valid: valid[:-1] + bytes([valid[-1] ^ 1]),
+    "truncated": lambda csv, p, valid: valid[:-8],
+    "other_csv": lambda csv, p, valid: _forge_cache(csv + b"\n", 2, [["b", 3], ["A", 1]], p),
+    "version": lambda csv, p, valid: _forge_cache(csv, 2, [["b", 3], ["A", 1]], p, version=2),
+    "rows_past_payload": lambda csv, p, valid: _forge_cache(csv, 2, [["b", 4], ["A", 1]], p),
+    "zero_rows": lambda csv, p, valid: _forge_cache(csv, 2, [["b", 3], ["A", 1], ["C", 0]], p),
+    "repeated_video": lambda csv, p, valid: _forge_cache(csv, 2, [["b", 3], ["b", 1]], p),
+    "float_dim": lambda csv, p, valid: _forge_cache(csv, 2.0, [["b", 3], ["A", 1]], p),
+    "non_finite": lambda csv, p, valid: _forge_cache(csv, 2, [["b", 3], ["A", 1]],
+                                                     np.full(8, np.nan).tobytes()),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_CACHES))
+def test_bad_cache_is_a_miss(tmp_path, damage):
+    path = tmp_path / "features.csv"
+    _write_unsorted_features(path)
+    store = read_feature_csv(path)
+    valid = _cache(path).read_bytes()
+    payload = np.concatenate(list(store.features.values())).tobytes()
+    _cache(path).write_bytes(BAD_CACHES[damage](path.read_bytes(), payload, valid))
+    _assert_same_store(read_feature_csv(path), store)
+    assert _cache(path).read_bytes() == valid
+
+
+def test_edited_csv_is_reparsed_and_its_cache_rewritten(tmp_path, monkeypatch):
+    path = tmp_path / "features.csv"
+    _write_unsorted_features(path)
+    read_feature_csv(path)
+    stale = _cache(path).read_bytes()
+    path.write_bytes(path.read_bytes().replace(b"b,2,1e-05,7", b"b,2,1e-05,8"))
+    edited = read_feature_csv(path)
+    assert edited.features["b"][2, 1] == 8.0
+    assert _cache(path).read_bytes() != stale
+    _forbid_parse(monkeypatch)  # the rewritten cache serves the next read
+    _assert_same_store(read_feature_csv(path), edited)
+
+
+def test_damaged_csv_ignores_an_old_cache(tmp_path):
+    path = tmp_path / "features.csv"
+    _write_unsorted_features(path)
+    read_feature_csv(path)
+    path.write_bytes(path.read_bytes().replace(b"b,2,1e-05,7", b"b,3,1e-05,7"))
+    with pytest.raises(DataError, match="video b snippet indices not contiguous"):
+        read_feature_csv(path)
+
+
+def test_unwritable_cache_path_is_skipped(tmp_path):
+    # a directory blocks the cache even for root; pytest turns any warning into an error
+    path = tmp_path / "features.csv"
+    _write_unsorted_features(path)
+    _cache(path).mkdir()
+    first, second = read_feature_csv(path), read_feature_csv(path)
+    _assert_same_store(second, first)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv",
+                                                          "features.csv.uban-cache"]
+    assert _cache(path).is_dir() and not any(_cache(path).iterdir())
+
+
+@pytest.fixture(scope="module")
+def valid_cache(tmp_path_factory):
+    """VALID_FEATURES, its parse and the cache that parse leaves."""
+    path = tmp_path_factory.mktemp("cache") / "features.csv"
+    path.write_bytes(VALID_FEATURES)
+    store = read_feature_csv(path)
+    return store, _cache(path).read_bytes()
+
+
+CACHE_MUTATION_BYTES = MUTATION_BYTES + [b"0", b"1", b"[", b"]", b"{", b"}", b"\\"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200).map(lambda blob: (blob, [])),
+    st.binary(max_size=200).map(lambda blob: (b"UBANFEAT\x01\x00\x00\x00" + blob, [])),
+    st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                       st.integers(0, 2**16), st.sampled_from(CACHE_MUTATION_BYTES)),
+             min_size=1, max_size=4).map(lambda edits: (None, edits))))
+def test_feature_cache_fuzz(valid_cache, case):
+    """Any cache bytes: the read equals the parse, and leaves a valid cache."""
+    store, valid = valid_cache
+    blob, edits = case
+    if blob is None:  # up to four edits of the valid cache, anywhere in it
+        blob = _edit(valid, [(kind, pos % (len(valid) + 1), piece)
+                             for kind, pos, piece in edits])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "features.csv"
+        path.write_bytes(VALID_FEATURES)
+        _cache(path).write_bytes(blob)
+        _assert_same_store(read_feature_csv(path), store)
+        assert _cache(path).read_bytes() == valid
