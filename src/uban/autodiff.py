@@ -16,7 +16,7 @@ __all__ = [
     "Tensor",
     "ShapeMismatch",
     "NonFiniteLoss",
-    "add", "sub", "neg", "mul", "div", "matmul", "concat", "slice_",
+    "add", "sub", "neg", "mul", "div", "matmul", "linear", "concat", "slice_",
     "gather_rows", "tensor_sum", "tensor_mean", "reduce_max",
     "reduce_min", "exp", "log", "sigmoid", "tanh", "softplus", "square",
     "clip", "softmax", "log_softmax", "gru_cell", "backward", "grad_check",
@@ -84,13 +84,21 @@ def _unbroadcast(grad, shape):
 
 
 def _accumulate(t, g):
+    """Add one gradient contribution to t.grad.
+
+    The first contribution is copied, so t.grad never aliases a contribution
+    (often a view of another node's grad); later ones are added in place.
+    """
     if not t.requires_grad:
         return
-    g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
+    if type(g) is not np.ndarray or g.dtype != np.float64:
+        g = np.asarray(g, dtype=np.float64)
+    if g.shape != t.data.shape:
+        g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
         t.grad = g.copy()
     else:
-        t.grad = t.grad + g
+        t.grad += g
 
 
 _grad_enabled = True
@@ -110,12 +118,15 @@ def no_grad():
 def _make(data, parents, backward_fn, op):
     if not _grad_enabled:
         return Tensor(data, op=op)
-    requires = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=requires, _parents=tuple(parents),
-                  _backward=backward_fn if requires else None, op=op)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, True, tuple(parents), backward_fn, op)
+    return Tensor(data, False, tuple(parents), None, op)
 
 
 def _check_broadcast(op, a, b):
+    if a.shape == b.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -147,7 +158,16 @@ def neg(a):
 
 
 def sub(a, b):
-    return add(a, neg(_as_tensor(b)))
+    """a - b as one node; a.data - b.data equals the composite add(a, neg(b)) bit for bit."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_broadcast("sub", a.data, b.data)
+
+    def back(g):
+        _accumulate(a, g)
+        if b.requires_grad:
+            _accumulate(b, -_unbroadcast(g, b.data.shape))
+
+    return _make(a.data - b.data, (a, b), back, "sub")
 
 
 def mul(a, b):
@@ -185,6 +205,26 @@ def matmul(a, b):
         _accumulate(b, a.data.T @ g)
 
     return _make(out_data, (a, b), back, "matmul")
+
+
+def linear(x, W, b):
+    """x @ W + b as one node, with the values and gradients of matmul then add."""
+    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
+    xd, Wd = x.data, W.data
+    if xd.ndim != 2 or Wd.ndim != 2 or xd.shape[1] != Wd.shape[0]:
+        raise ShapeMismatch(f"linear: shapes {xd.shape} and {Wd.shape}")
+    prod = xd @ Wd
+    _check_broadcast("linear", prod, b.data)
+    out_data = prod + b.data
+    if out_data.shape != prod.shape:
+        raise ShapeMismatch(f"linear: bias of shape {b.data.shape} for output {prod.shape}")
+
+    def back(g):
+        _accumulate(b, g)
+        _accumulate(x, g @ Wd.T)
+        _accumulate(W, xd.T @ g)
+
+    return _make(out_data, (x, W, b), back, "linear")
 
 
 def concat(tensors, axis=0):
@@ -237,24 +277,31 @@ def gather_rows(a, indices):
 # ---------------------------------------------------------------------------
 # reductions
 
+def _spread(a, g, axis, keepdims):
+    """The gradient of a sum over axis: g spread back over the shape of a."""
+    if axis is None:
+        return np.full_like(a.data, 1.0) * g
+    return np.broadcast_to(g if keepdims else np.expand_dims(g, axis), a.data.shape)
+
+
 def tensor_sum(a, axis=None, keepdims=False):
     a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def back(g):
-        if axis is None:
-            _accumulate(a, np.full_like(a.data, 1.0) * g)
-        else:
-            g_exp = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(g_exp, a.data.shape))
+        _accumulate(a, _spread(a, g, axis, keepdims))
 
-    return _make(out_data, (a,), back, "sum")
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), back, "sum")
 
 
 def tensor_mean(a, axis=None, keepdims=False):
+    """sum * (1 / count) as one node, with the values and gradient of that composite."""
     a = _as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    scale = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
+
+    def back(g):
+        _accumulate(a, _spread(a, g * scale, axis, keepdims))
+
+    return _make(a.data.sum(axis=axis, keepdims=keepdims) * scale, (a,), back, "mean")
 
 
 def _reduce_extreme(a, axis, keepdims, argfn, name):
@@ -421,8 +468,9 @@ def gru_cell(x, h, Wz, Uz, bz, Wr, Ur, br, Wn, Un, bn):
         if t.data.shape != shape:
             raise ShapeMismatch(f"gru_cell: weight of shape {t.data.shape}, "
                                 f"expected {shape}")
-    z = _sigmoid(xd @ Wz.data + hd @ Uz.data + bz.data)
-    r = _sigmoid(xd @ Wr.data + hd @ Ur.data + br.data)
+    with np.errstate(over="ignore"):  # the _sigmoid expression, inlined for both gates
+        z = 1.0 / (1.0 + np.exp(-(xd @ Wz.data + hd @ Uz.data + bz.data)))
+        r = 1.0 / (1.0 + np.exp(-(xd @ Wr.data + hd @ Ur.data + br.data)))
     rh = r * hd
     n = np.tanh(xd @ Wn.data + rh @ Un.data + bn.data)
     keep = 1.0 + -z
@@ -433,11 +481,16 @@ def gru_cell(x, h, Wz, Uz, bz, Wr, Ur, br, Wn, Un, bn):
         dz = g * (hd - n) * z * keep
         drh = dn @ Un.data.T
         dr = drh * hd * r * (1.0 - r)
-        for W, U, b, d, u_in in ((Wz, Uz, bz, dz, hd), (Wr, Ur, br, dr, hd),
-                                 (Wn, Un, bn, dn, rh)):
-            _accumulate(W, xd.T @ d)
-            _accumulate(U, u_in.T @ d)
-            _accumulate(b, d.sum(axis=0, keepdims=True))
+        # one product per group of gates that share an operand (Appleyard et
+        # al. 2016); on this BLAS each column block equals that gate's own
+        # product bit for bit, which tests/test_autodiff.py checks
+        d_all = np.concatenate((dz, dr, dn), axis=1)
+        dW, dU, db = xd.T @ d_all, hd.T @ d_all[:, :2 * H], d_all.sum(axis=0, keepdims=True)
+        for k, (W, U, b) in enumerate(((Wz, Uz, bz), (Wr, Ur, br), (Wn, Un, bn))):
+            cols = slice(k * H, (k + 1) * H)
+            _accumulate(W, dW[:, cols])
+            _accumulate(U, dU[:, cols] if k < 2 else rh.T @ dn)
+            _accumulate(b, db[:, cols])
         if h.requires_grad:
             _accumulate(h, g * z + drh * r + dz @ Uz.data.T + dr @ Ur.data.T)
         if x.requires_grad:
@@ -508,20 +561,27 @@ def grad_check(loss_fn, tensors, step=1e-6, wrt=None):
 
     max_err = 0.0
     for t, a_grad in zip(checked, analytic):
+        # probe a private C-contiguous copy: reshape(-1) is then a view of what
+        # loss_fn reads, even for a transposed or read-only leaf
+        original = t.data
+        t.data = np.array(original, order="C")
         flat = t.data.reshape(-1)
         a_flat = a_grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            f_plus = float(loss_fn(*tensors).data)
-            flat[i] = orig - step
-            f_minus = float(loss_fn(*tensors).data)
-            flat[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise NonFiniteLoss(
-                    f"non-finite loss while probing coordinate {i} of {t!r}")
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            err = abs(a_flat[i] - numeric) / max(1.0, abs(a_flat[i]))
-            if err > max_err:
-                max_err = err
+        try:
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                f_plus = float(loss_fn(*tensors).data)
+                flat[i] = orig - step
+                f_minus = float(loss_fn(*tensors).data)
+                flat[i] = orig
+                if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                    raise NonFiniteLoss(
+                        f"non-finite loss while probing coordinate {i} of {t!r}")
+                numeric = (f_plus - f_minus) / (2.0 * step)
+                err = abs(a_flat[i] - numeric) / max(1.0, abs(a_flat[i]))
+                if err > max_err:
+                    max_err = err
+        finally:
+            t.data = original
     return max_err

@@ -121,7 +121,7 @@ class GruBackbone:
         anticipated = []
         for _ in range(n_a):
             h = _gru_step(self.params, "dec", x, h)
-            x = ad.matmul(h, self.params["dec.Wout"]) + self.params["dec.bout"]
+            x = ad.linear(h, self.params["dec.Wout"], self.params["dec.bout"])
             anticipated.append(x)
         return anticipated
 
@@ -147,8 +147,8 @@ def dual_heads(feature, params, pooling="mean"):
     softplus(raw) + U_FLOOR, so it is strictly positive; u is its pooled
     value clamped to [U_FLOOR, U_CEILING], the temperature of the softmax.
     """
-    logits = ad.matmul(feature, params["head.Wc"]) + params["head.bc"]
-    raw = ad.matmul(feature, params["head.Wu"]) + params["head.bu"]
+    logits = ad.linear(feature, params["head.Wc"], params["head.bc"])
+    raw = ad.linear(feature, params["head.Wu"], params["head.bu"])
     vector = ad.softplus(raw) + Tensor(U_FLOOR)
     if pooling not in _POOL:
         raise ValueError(f"unknown pooling {pooling!r}")

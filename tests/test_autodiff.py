@@ -56,6 +56,14 @@ def test_matmul_shape_mismatch_names_op():
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+@pytest.mark.parametrize("x_shape,W_shape,b_shape", [((2, 3), (2, 4), (1, 4)),
+                                                     ((2, 3), (3, 4), (1, 5)),
+                                                     ((2, 3), (3, 4), (3, 2, 4))])
+def test_linear_shape_mismatch_names_op(x_shape, W_shape, b_shape):
+    with pytest.raises(ShapeMismatch, match="linear"):
+        ad.linear(*(Tensor(np.zeros(s)) for s in (x_shape, W_shape, b_shape)))
+
+
 def test_add_shape_mismatch():
     with pytest.raises(ShapeMismatch, match="add"):
         ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
@@ -239,3 +247,115 @@ def test_accumulate_sums_into_fresh_grad(case):
         # a 0-d sum comes back as a numpy scalar, which nothing can write through
         assert isinstance(t.grad, np.generic) or t.grad.flags.writeable
         assert not any(np.shares_memory(t.grad, c) for c in contributions[:i + 1])
+
+
+@pytest.mark.parametrize("leaf", ["transposed", "read_only"])
+def test_grad_check_probes_the_leaf_itself(leaf):
+    # reshape(-1) copies a transposed leaf, and cannot write a read-only one,
+    # so probing through it would perturb a copy, or fail, instead of the leaf
+    base = np.random.default_rng(9).normal(size=(3, 4))
+    if leaf == "transposed":
+        data = base.T
+    else:
+        data = base.copy()
+        data.flags.writeable = False
+    expected = data.copy()
+    t = Tensor(data)
+    assert grad_check(lambda a: ad.tensor_sum(ad.square(a)), [t], step=1e-6) < 1e-7
+    assert t.data is data and np.array_equal(data, expected)
+
+
+def _value_and_grads(build, arrays, probe_seed=0):
+    """Forward value of build(*leaves) and every leaf gradient of sum(out * probe)."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = build(*leaves)
+    probe = np.random.default_rng(probe_seed).uniform(0.5, 1.5, size=out.data.shape)
+    backward(ad.tensor_sum(out * Tensor(probe)))
+    return out.data, [t.grad for t in leaves]
+
+
+def _assert_bit_identical(fused, composite, arrays):
+    (out_f, grads_f), (out_c, grads_c) = (_value_and_grads(fused, arrays),
+                                          _value_and_grads(composite, arrays))
+    assert np.array_equal(out_f, out_c)
+    assert np.array_equal(np.signbit(out_f), np.signbit(out_c))
+    for g_f, g_c in zip(grads_f, grads_c):
+        assert g_f.shape == g_c.shape and np.array_equal(g_f, g_c)
+
+
+@pytest.mark.parametrize("bias_shape", [(1, 4), (5, 4), ()])
+def test_linear_equals_matmul_then_add(bias_shape):
+    rng = np.random.default_rng(21)
+    arrays = [rng.normal(size=(5, 4)), rng.normal(size=(4, 4)), rng.normal(size=bias_shape)]
+
+    def chain(affine):
+        # W and b feed both maps and x reaches the second through the first,
+        # so each gradient sums several contributions in tape order
+        return lambda x, W, b: affine(ad.tanh(affine(ad.tanh(x), W, b)), W, b)
+
+    _assert_bit_identical(chain(ad.linear),
+                          chain(lambda x, W, b: ad.add(ad.matmul(x, W), b)), arrays)
+
+
+@pytest.mark.parametrize("axis,keepdims", [(None, False), (None, True), (0, False),
+                                           (0, True), (1, False), (1, True)])
+def test_mean_equals_sum_times_scale(axis, keepdims):
+    a = np.random.default_rng(22).normal(size=(3, 5))
+    count = a.size if axis is None else a.shape[axis]
+    _assert_bit_identical(
+        lambda t: ad.tensor_mean(ad.square(t), axis=axis, keepdims=keepdims),
+        lambda t: ad.mul(ad.tensor_sum(ad.square(t), axis=axis, keepdims=keepdims),
+                         1.0 / count), [a])
+
+
+@pytest.mark.parametrize("shapes", [((3, 4), (3, 4)), ((3, 4), (1, 4)), ((3, 4), (3, 1)),
+                                    ((3, 4), ()), ((1, 4), (3, 4))])
+def test_sub_equals_add_neg(shapes):
+    rng = np.random.default_rng(23)
+    a, b = (rng.normal(size=s) for s in shapes)
+    if a.shape == b.shape:  # signed zeros: 0 - 0, -0 - 0, 0 - -0 and -0 - -0
+        a.flat[:4], b.flat[:4] = [0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]
+    _assert_bit_identical(ad.sub, lambda x, y: ad.add(x, ad.neg(y)), [a, b])
+
+
+def _gru_grads_per_gate(x, h, Wz, Uz, bz, Wr, Ur, br, Wn, Un, bn, g):
+    """The cell's closed-form backward with one product and one sum per weight."""
+    z = 1.0 / (1.0 + np.exp(-(x @ Wz + h @ Uz + bz)))
+    r = 1.0 / (1.0 + np.exp(-(x @ Wr + h @ Ur + br)))
+    rh = r * h
+    n = np.tanh(x @ Wn + rh @ Un + bn)
+    keep = 1.0 + -z
+    dn = g * keep * (1.0 - n * n)
+    dz = g * (h - n) * z * keep
+    drh = dn @ Un.T
+    dr = drh * h * r * (1.0 - r)
+    dh = g * z + drh * r + dz @ Uz.T + dr @ Ur.T
+    dx = dz @ Wz.T + dr @ Wr.T + dn @ Wn.T
+    weights = [(x.T @ d, u_in.T @ d, d.sum(axis=0, keepdims=True))
+               for d, u_in in ((dz, h), (dr, h), (dn, rh))]
+    return [dx, dh, *(w for gate in weights for w in gate)]
+
+
+@pytest.mark.parametrize("batch,d_in,hidden", [(1, 3, 4), (3, 3, 4), (32, 16, 32), (8, 64, 32)])
+def test_gru_cell_stacked_gradients_equal_per_gate_products(batch, d_in, hidden):
+    inputs = _gru_inputs(np.random.default_rng(24), batch, d_in, hidden)
+    arrays = [t.data for t in inputs]
+    out, grads = _value_and_grads(ad.gru_cell, arrays, probe_seed=1)
+    probe = np.random.default_rng(1).uniform(0.5, 1.5, size=out.shape)
+    expected = _gru_grads_per_gate(*arrays, probe)
+    assert len(grads) == len(expected) == 11
+    for got, want in zip(grads, expected):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("build,shapes", [
+    (lambda x, W, b: ad.tensor_sum(ad.tanh(ad.linear(x, W, b))), [(3, 4), (4, 2), (1, 2)]),
+    (lambda a: ad.tensor_sum(ad.tensor_mean(ad.exp(a), axis=1) * Tensor([0.3, -0.7, 1.1])),
+     [(3, 4)]),
+    (lambda a: ad.tensor_mean(ad.square(a), axis=0, keepdims=True)[0, 1], [(3, 4)]),
+    (lambda a, b: ad.tensor_sum(ad.square(ad.sub(a, b))), [(3, 4), (1, 4)]),
+])
+def test_grad_check_fused_ops(build, shapes):
+    rng = np.random.default_rng(25)
+    tensors = [Tensor(rng.normal(size=s)) for s in shapes]
+    assert grad_check(build, tensors, step=1e-6) < 1e-6
