@@ -357,7 +357,8 @@ def build_parser():
         description="Uncertainty-boosted activity anticipation toolkit")
     parser.add_argument("--seed", type=_checked(int, lambda s: s >= 0, ">= 0"), default=0)
     parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--out", default="out", help="output directory",
+                        type=_checked(str, bool, "a nonempty path"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="build co-occurrence matrices")

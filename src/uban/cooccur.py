@@ -12,7 +12,7 @@ import csv
 import math
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,8 @@ __all__ = [
     "DEFAULT_RELATIONS",
     "DataError",
     "Segment", "Video", "AnnotationCorpus", "Vocabulary",
-    "UncertaintyMatrix", "KnowledgeEdgeSet", "CooccurrenceSet",
-    "build_internal_matrix", "build_external_matrix", "merge_rows",
+    "UncertaintyMatrix", "KnowledgeEdgeSet",
+    "build_internal_matrix", "build_external_matrix",
     "normalize_lemma",
     "read_annotations", "read_vocabulary", "read_edge_dump",
     "write_matrix_csv", "read_matrix_csv",
@@ -111,21 +111,6 @@ class UncertaintyMatrix:
 class KnowledgeEdgeSet:
     edges: set[tuple[str, str, str]]  # (head, relation, tail)
     selected_relations: frozenset[str] = DEFAULT_RELATIONS
-
-
-@dataclass
-class CooccurrenceSet:
-    """Classes with a nonzero merged score against the target class(es)."""
-
-    targets: tuple[int, ...]
-    scores: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def members(self):
-        return set(self.scores)
-
-    def __len__(self):
-        return len(self.scores)
 
 
 def normalize_lemma(text):
@@ -236,26 +221,6 @@ def build_external_matrix(edges, vocab):
     return (UncertaintyMatrix("external-verb", verb_vals),
             UncertaintyMatrix("external-noun", noun_vals),
             UncertaintyMatrix("external-activity", act_vals))
-
-
-def merge_rows(internal_row, external_row, target_class, top_k=None):
-    """Merge the two score rows and keep classes with a nonzero sum.
-
-    The target class itself is always excluded.  An optional top_k cap keeps
-    only the highest-scoring members (ties broken by ascending class id).
-    """
-    internal_row = np.asarray(internal_row, dtype=np.float64)
-    external_row = np.asarray(external_row, dtype=np.float64)
-    if internal_row.shape != external_row.shape:
-        raise DataError(
-            f"row length mismatch: {internal_row.shape} vs {external_row.shape}")
-    merged = internal_row + external_row
-    scores = {j: float(merged[j]) for j in range(merged.size)
-              if j != target_class and merged[j] > 0}
-    if top_k is not None and len(scores) > top_k:
-        kept = sorted(scores, key=lambda j: (-scores[j], j))[:top_k]
-        scores = {j: scores[j] for j in sorted(kept)}
-    return CooccurrenceSet(targets=(target_class,), scores=scores)
 
 
 # ---------------------------------------------------------------------------

@@ -1,80 +1,20 @@
-"""Soft target label construction from co-occurrence sets.
-
-A single-sample label puts 1-alpha on the target class and spreads alpha
-uniformly over its co-occurrence set; a pair label splits 1-alpha between the
-two targets.  Uniform weights are deliberate: score-proportional mass tends
-to overfit the statistics that produced the sets.
-"""
-
-from __future__ import annotations
-
-from dataclasses import dataclass
+"""Soft pair labels from a (C, C) boolean co-occurrence support table."""
 
 import numpy as np
 
-from .cooccur import CooccurrenceSet
-
-__all__ = ["TargetLabel", "single_label", "pair_label", "pair_set"]
+__all__ = ["pair_set", "pair_label"]
 
 
-@dataclass
-class TargetLabel:
-    probs: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-
-    def sparse(self):
-        """{class_id: prob} over the support, for export/inspection."""
-        return {int(j): float(p) for j, p in enumerate(self.probs) if p > 0}
+def pair_set(support, c_i, c_j):
+    """(P, C) union of each pair's two support rows, both targets cleared."""
+    members, rows = support[c_i] | support[c_j], np.arange(len(c_i))
+    members[rows, c_i] = members[rows, c_j] = False
+    return members
 
 
-def _check_alpha(alpha):
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-
-
-def single_label(c, co_set, alpha, num_classes):
-    """Label for one sample with target class c.
-
-    With an empty co-occurrence set the alpha mass collapses onto the target,
-    so the label degenerates to one-hot.
-    """
-    _check_alpha(alpha)
-    if not 0 <= c < num_classes:
-        raise ValueError(f"class id {c} out of range for C={num_classes}")
-    probs = np.zeros(num_classes)
-    members = sorted(co_set.members - {c})
-    if members:
-        probs[c] = 1.0 - alpha
-        probs[members] = alpha / len(members)
-    else:
-        probs[c] = 1.0
-    return TargetLabel(probs, alpha)
-
-
-def pair_label(c_i, c_j, co_set, alpha, num_classes):
-    """Label for a mixed pair: (1-alpha)/2 on each target, alpha on the set."""
-    _check_alpha(alpha)
-    if c_i == c_j:
-        raise ValueError(f"pair targets must differ, got {c_i} twice")
-    probs = np.zeros(num_classes)
-    members = sorted(co_set.members - {c_i, c_j})
-    if members:
-        probs[c_i] = probs[c_j] = (1.0 - alpha) / 2.0
-        probs[members] = alpha / len(members)
-    else:
-        probs[c_i] = probs[c_j] = 0.5
-    return TargetLabel(probs, alpha)
-
-
-def pair_set(set_i, set_j, c_i, c_j):
-    """Union of two per-class co-occurrence sets, targets excluded."""
-    scores = {}
-    for s in (set_i, set_j):
-        for k, v in s.scores.items():
-            if k in (c_i, c_j):
-                continue
-            scores[k] = scores.get(k, 0.0) + v
-    return CooccurrenceSet(targets=(c_i, c_j), scores=scores)
+def pair_label(c_i, c_j, members, alpha):
+    """(1-alpha)/2 per target, alpha uniform over the members; 0.5 if none."""
+    count, rows = members.sum(axis=1), np.arange(len(c_i))
+    probs = members * (alpha / np.maximum(count, 1))[:, None]
+    probs[rows, c_i] = probs[rows, c_j] = np.where(count > 0, (1.0 - alpha) / 2.0, 0.5)
+    return probs

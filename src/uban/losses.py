@@ -44,11 +44,11 @@ def anticipation_loss(log_probs, label):
 
     For a batched distribution the per-sample losses are averaged.
     """
-    probs_label = label.probs if hasattr(label, "probs") else np.asarray(label)
-    sums = probs_label.sum(axis=-1)
+    label = np.asarray(label)
+    sums = label.sum(axis=-1)
     if not np.allclose(sums, 1.0, atol=1e-9):
         raise ValueError(f"label rows must sum to 1, got {sums}")
-    return soft_cross_entropy(log_probs, probs_label)
+    return soft_cross_entropy(log_probs, label)
 
 
 def relative_weights(u):

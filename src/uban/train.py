@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .cooccur import DataError, build_internal_matrix, merge_rows
+from .cooccur import DataError, build_internal_matrix
 from .data import family_batches, pair_batches, window_samples
 from .labels import pair_label, pair_set
 from .losses import (adjust_distribution, relative_weights, soft_cross_entropy,
@@ -111,23 +111,18 @@ class SgdMomentum:
             t.grad = None
 
 
-def _label_cache(matrix_internal, matrix_external, num_classes):
-    internal = matrix_internal.values
-    external = (matrix_external.values if matrix_external is not None
-                else np.zeros_like(internal))
-    return {c: merge_rows(internal[c], external[c], c) for c in range(num_classes)}
+def _label_cache(matrix_internal, matrix_external):
+    """(C, C) support table: the class pairs with a nonzero merged score."""
+    scores = matrix_internal.values
+    if matrix_external is not None:
+        scores = scores + matrix_external.values
+    return scores > 0
 
 
-def _pair_label_rows(pairs, sets, alpha, num_classes, cache):
-    """(P, C) soft labels for P pairs of target class ids."""
-    rows = []
-    for c_i, c_j in pairs:
-        key = (min(c_i, c_j), max(c_i, c_j))
-        if key not in cache:
-            merged = pair_set(sets[key[0]], sets[key[1]], key[0], key[1])
-            cache[key] = pair_label(key[0], key[1], merged, alpha, num_classes).probs
-        rows.append(cache[key])
-    return np.stack(rows)
+def _pair_label_rows(pairs, support, alpha):
+    """(P, C) soft labels for a (P, 2) array of target class ids."""
+    c_i, c_j = pairs[:, 0], pairs[:, 1]
+    return pair_label(c_i, c_j, pair_set(support, c_i, c_j), alpha)
 
 
 def _mixed_log_probs(model, anticipated, heads):
@@ -190,8 +185,7 @@ def train(config, corpus, store, vocab, log_path=None, external_matrix=None):
         onehot = np.eye(C)
     else:
         internal = build_internal_matrix(corpus, vocab)
-        sets = _label_cache(internal, external_matrix, C)
-        pair_cache = {}
+        support = _label_cache(internal, external_matrix)
         fam_observed, members, _ = family_batches(corpus, store, window,
                                                   config.tau_a_grid)
         F = len(fam_observed)
@@ -220,8 +214,8 @@ def train(config, corpus, store, vocab, log_path=None, external_matrix=None):
                 logged = {"l_srul": float(loss.data), "l_trul": 0.0, "l_wd": 0.0,
                           "mean_u": 0.0}
             else:
-                pair_labels = _pair_label_rows(targets[flat].reshape(-1, 2).tolist(), sets,
-                                               config.alpha, C, pair_cache)
+                pair_labels = _pair_label_rows(targets[flat].reshape(-1, 2), support,
+                                               config.alpha)
                 l_srul = srul_loss(
                     _mixed_log_probs(model, anticipated, heads), pair_labels)
                 u_all = [u for _, u in heads]

