@@ -16,11 +16,10 @@ __all__ = [
     "Tensor",
     "ShapeMismatch",
     "NonFiniteLoss",
-    "add", "sub", "neg", "mul", "div", "matmul", "linear", "concat", "slice_",
-    "gather_rows", "tensor_sum", "tensor_mean", "reduce_max",
-    "reduce_min", "exp", "log", "sigmoid", "tanh", "softplus", "square",
-    "clip", "softmax", "log_softmax", "gru_cell", "backward", "grad_check",
-    "no_grad",
+    "add", "sub", "neg", "mul", "div", "linear", "concat", "slice_",
+    "gather_rows", "tensor_sum", "tensor_mean", "reduce_max", "reduce_min",
+    "log", "softplus", "square", "clip", "softmax", "log_softmax", "gru_cell",
+    "backward", "grad_check", "no_grad",
 ]
 
 
@@ -194,19 +193,6 @@ def div(a, b):
     return _make(out_data, (a, b), back, "div")
 
 
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch(f"matmul: shapes {a.data.shape} and {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def back(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _make(out_data, (a, b), back, "matmul")
-
-
 def linear(x, W, b):
     """x @ W + b as one node, with the values and gradients of matmul then add."""
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
@@ -343,16 +329,6 @@ def reduce_min(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 # nonlinearities
 
-def exp(a):
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def back(g):
-        _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), back, "exp")
-
-
 def log(a):
     a = _as_tensor(a)
     out_data = np.log(a.data)
@@ -361,31 +337,6 @@ def log(a):
         _accumulate(a, g / a.data)
 
     return _make(out_data, (a,), back, "log")
-
-
-def _sigmoid(x):
-    with np.errstate(over="ignore"):  # exp overflow saturates to exactly 0
-        return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid(a):
-    a = _as_tensor(a)
-    out_data = _sigmoid(a.data)
-
-    def back(g):
-        _accumulate(a, g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), back, "sigmoid")
-
-
-def tanh(a):
-    a = _as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def back(g):
-        _accumulate(a, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), back, "tanh")
 
 
 def softplus(a):
@@ -455,8 +406,8 @@ def gru_cell(x, h, Wz, Uz, bz, Wr, Ur, br, Wn, Un, bn):
     """One GRU step (Cho et al. 2014) as a single node: h' = (1 - z) * n + z * h.
 
     The forward evaluates the same numpy expressions, in the same order, as
-    the composite of matmul/add/sigmoid/tanh/mul nodes, so its output is
-    bit-identical to that graph.  The backward is closed form.
+    the composite of matmul/add/sigmoid/tanh/mul nodes (tests/oracles.py), so
+    its output is bit-identical to that graph.  The backward is closed form.
     """
     x, h, Wz, Uz, bz, Wr, Ur, br, Wn, Un, bn = inputs = [
         _as_tensor(t) for t in (x, h, Wz, Uz, bz, Wr, Ur, br, Wn, Un, bn)]
@@ -468,7 +419,7 @@ def gru_cell(x, h, Wz, Uz, bz, Wr, Ur, br, Wn, Un, bn):
         if t.data.shape != shape:
             raise ShapeMismatch(f"gru_cell: weight of shape {t.data.shape}, "
                                 f"expected {shape}")
-    with np.errstate(over="ignore"):  # the _sigmoid expression, inlined for both gates
+    with np.errstate(over="ignore"):  # sigmoid of both gates; exp overflow gives exactly 0
         z = 1.0 / (1.0 + np.exp(-(xd @ Wz.data + hd @ Uz.data + bz.data)))
         r = 1.0 / (1.0 + np.exp(-(xd @ Wr.data + hd @ Ur.data + br.data)))
     rh = r * hd

@@ -23,8 +23,8 @@ __all__ = [
     "UncertaintyMatrix", "KnowledgeEdgeSet",
     "build_internal_matrix", "build_external_matrix",
     "normalize_lemma",
-    "read_annotations", "read_vocabulary", "read_edge_dump",
-    "write_matrix_csv", "read_matrix_csv",
+    "corpus_from_rows", "read_annotations", "read_vocabulary", "read_edge_dump",
+    "write_matrix_csv",
 ]
 
 # Relation catalogue used by the external matrix builder.
@@ -326,14 +326,3 @@ def write_matrix_csv(matrix, path):
         for i in range(values.shape[0]):
             writer.writerow([str(i)] + [str(int(v)) for v in values[i]])
 
-
-def read_matrix_csv(path, kind="internal"):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n = len(header) - 1
-        values = np.zeros((n, n), dtype=np.int64)
-        for row in reader:
-            i = int(row[0])
-            values[i] = [int(v) for v in row[1:]]
-    return UncertaintyMatrix(kind, values)

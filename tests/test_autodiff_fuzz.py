@@ -1,4 +1,4 @@
-"""Random small graphs over every autodiff op.
+"""Random small graphs over every autodiff op and the elementary ops of oracles.
 
 Each example draws a few leaves, with broadcasting shapes among them, and up
 to eight op nodes over them.  Operands are picked so that no input sits near
@@ -13,6 +13,8 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from conftest import reachable
 from uban import autodiff as ad
 from uban.autodiff import Tensor
 
@@ -20,6 +22,7 @@ MAX_ROWS, MAX_COLS, MAX_NODES = 4, 5, 8
 MARGIN = 1e-3  # distance kept from clip bounds and between a max/min and the runner-up
 CLIP = (-0.5, 0.5)
 NOT_OPS = {"Tensor", "ShapeMismatch", "NonFiniteLoss", "backward", "grad_check", "no_grad"}
+ORACLE_OPS = {"matmul", "exp", "sigmoid", "tanh"}  # the ops that linear and gru_cell fuse
 
 
 def _leaf_shape(draw):
@@ -92,7 +95,7 @@ def _matmul(draw, pool, new_leaf):
     i = _pick(draw, pool, lambda t: t.data.ndim == 2)
     j = None if i is None else _pick(
         draw, pool, lambda t: t.data.ndim == 2 and t.data.shape[0] == pool[i].data.shape[1])
-    return None if j is None else (ad.matmul, [i, j])
+    return None if j is None else (oracles.matmul, [i, j])
 
 
 def _linear(draw, pool, new_leaf):
@@ -160,10 +163,10 @@ OPS = {
     "mul": _binary(ad.mul),
     "div": _binary(ad.div, lambda t: (np.abs(t.data) > 0.3).all()),
     "neg": _unary(ad.neg),
-    "exp": _unary(ad.exp, lambda t: (np.abs(t.data) < 3.0).all()),
+    "exp": _unary(oracles.exp, lambda t: (np.abs(t.data) < 3.0).all()),
     "log": _unary(ad.log, lambda t: (t.data > 0.1).all()),
-    "sigmoid": _unary(ad.sigmoid),
-    "tanh": _unary(ad.tanh),
+    "sigmoid": _unary(oracles.sigmoid),
+    "tanh": _unary(oracles.tanh),
     "softplus": _unary(ad.softplus),
     "square": _unary(ad.square),
     "clip": _unary(lambda a: ad.clip(a, *CLIP),
@@ -184,7 +187,7 @@ OPS = {
 
 
 def test_fuzzer_covers_every_op():
-    assert set(OPS) == set(ad.__all__) - NOT_OPS
+    assert set(OPS) == (set(ad.__all__) - NOT_OPS) | ORACLE_OPS
 
 
 @st.composite
@@ -225,16 +228,6 @@ def _loss(program, probes, leaves):
     return sum(terms[1:], terms[0]) if terms else ad.tensor_sum(pool[-1])
 
 
-def _reachable(root):
-    nodes, stack = {}, [root]
-    while stack:
-        t = stack.pop()
-        if id(t) not in nodes:
-            nodes[id(t)] = t
-            stack.extend(t._parents)
-    return list(nodes.values())
-
-
 @settings(max_examples=100, deadline=None)
 @given(graphs())
 def test_random_graph_gradients(graph):
@@ -250,7 +243,7 @@ def test_random_graph_gradients(graph):
     root = _loss(program, probes, leaves)
     with mock.patch.object(ad, "_accumulate", recording):
         ad.backward(root)
-    nodes = _reachable(root)
+    nodes = reachable(root)
     grads = [t.grad for t in nodes if t.grad is not None]
     for leaf in leaves:
         if leaf.grad is None:  # a leaf no loss term reads

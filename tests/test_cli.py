@@ -173,12 +173,21 @@ def test_eval_argument_out_of_range_is_usage_error(tmp_path, capsys, mode, flags
 
 
 def test_negative_eta_is_data_error(gen_dir, train_dir, tmp_path, capsys):
-    code = run("--out", tmp_path / "e", "eval", *corpus_args(gen_dir),
-               "--features", gen_dir / "features.csv",
-               "--checkpoint", train_dir / "model.ckpt", "--mode", "noise", "--etas", -1)
-    err = capsys.readouterr().err
-    assert code == EXIT_DATA
-    assert "Traceback" not in err and "eta must be nonnegative" in err
+    for eta in ("-1", "nan", "inf"):
+        code = run("--out", tmp_path / "e", "eval", *corpus_args(gen_dir),
+                   "--features", gen_dir / "features.csv", "--checkpoint",
+                   train_dir / "model.ckpt", "--mode", "noise", "--etas", eta)
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA, eta
+        assert "Traceback" not in err and "eta must be nonnegative" in err
+
+
+def test_gen_bad_feature_noise_is_data_error(tmp_path, capsys):
+    for noise in ("-1", "nan", "inf"):
+        assert run(*gen_args(tmp_path / "g"), "--feature-noise", noise) == EXIT_DATA, noise
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "feature_noise must be nonnegative" in err
+    assert not (tmp_path / "g" / "features.csv").exists()
 
 
 @pytest.mark.parametrize("flag", ["--dim", "--videos", "--segments"])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import edit_bytes
 from uban.cooccur import (AnnotationCorpus, DataError, Segment, Video,
                           build_internal_matrix)
 from uban.data import (FeatureStore, NoiseConfig, SyntheticSpec, family_batches,
@@ -422,19 +423,6 @@ def test_read_feature_csv_fuzz_bytes(blob):
     _read_feature_bytes(blob)
 
 
-def _edit(blob, edits):
-    """blob after (kind, position, piece) replacements, insertions and deletions."""
-    for kind, pos, piece in edits:
-        pos = min(pos, len(blob))
-        if kind == "insert":
-            blob = blob[:pos] + piece + blob[pos:]
-        elif kind == "replace":
-            blob = blob[:pos] + piece + blob[pos + 1:]
-        else:
-            blob = blob[:pos] + blob[pos + 1:]
-    return blob
-
-
 VALID_FEATURES = (b"video_id,snippet_idx,f0,f1\r\n"
                   b"v0,0,0.5,-1.25\r\nv0,1,2.0,3e-05\r\nv1,0,1.0,4.0\r\n")
 MUTATION_BYTES = [b",", b"\n", b"\r", b'"', b"#", b"\x00", b"\xff", b" ", b"-",
@@ -446,7 +434,7 @@ MUTATION_BYTES = [b",", b"\n", b"\r", b'"', b"#", b"\x00", b"\xff", b" ", b"-",
                           st.integers(0, len(VALID_FEATURES) - 1),
                           st.sampled_from(MUTATION_BYTES)), min_size=1, max_size=4))
 def test_read_feature_csv_fuzz_mutations(edits):
-    store = _read_feature_bytes(_edit(VALID_FEATURES, edits))
+    store = _read_feature_bytes(edit_bytes(VALID_FEATURES, edits))
     if store is not None:
         assert all(np.isfinite(a).all() and a.shape[1] == store.dim
                    for a in store.features.values())
@@ -602,8 +590,8 @@ def test_feature_cache_fuzz(valid_cache, case):
     store, valid = valid_cache
     blob, edits = case
     if blob is None:  # up to four edits of the valid cache, anywhere in it
-        blob = _edit(valid, [(kind, pos % (len(valid) + 1), piece)
-                             for kind, pos, piece in edits])
+        blob = edit_bytes(valid, [(kind, pos % (len(valid) + 1), piece)
+                                  for kind, pos, piece in edits])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "features.csv"
         path.write_bytes(VALID_FEATURES)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import matmul, sigmoid, tanh
 from uban import autodiff as ad
 from uban.autodiff import Tensor
-from uban.model import (U_CEILING, U_FLOOR, AnticipationModel,
-                        AnticipationWindow, GruBackbone, _gru_step, dual_heads,
-                        load_checkpoint, mc_dropout_forward, save_checkpoint)
+from uban.model import (U_CEILING, U_FLOOR, AnticipationModel, AnticipationWindow,
+                        GruBackbone, _gru_step, _head_shapes, _init_params,
+                        _parameter_shapes, dual_heads, load_checkpoint,
+                        mc_dropout_forward, save_checkpoint)
 
 
 def test_window_snippet_counts():
@@ -66,12 +68,12 @@ def test_backbone_same_seed_bitwise_identical():
 
 def _composite_gru_step(params, prefix, x, h):
     """The GRU step as a graph of elementary ops: the reference for the fused cell."""
-    z = ad.sigmoid(ad.matmul(x, params[f"{prefix}.Wz"])
-                   + ad.matmul(h, params[f"{prefix}.Uz"]) + params[f"{prefix}.bz"])
-    r = ad.sigmoid(ad.matmul(x, params[f"{prefix}.Wr"])
-                   + ad.matmul(h, params[f"{prefix}.Ur"]) + params[f"{prefix}.br"])
-    n = ad.tanh(ad.matmul(x, params[f"{prefix}.Wn"])
-                + ad.matmul(r * h, params[f"{prefix}.Un"]) + params[f"{prefix}.bn"])
+    z = sigmoid(matmul(x, params[f"{prefix}.Wz"])
+                + matmul(h, params[f"{prefix}.Uz"]) + params[f"{prefix}.bz"])
+    r = sigmoid(matmul(x, params[f"{prefix}.Wr"])
+                + matmul(h, params[f"{prefix}.Ur"]) + params[f"{prefix}.br"])
+    n = tanh(matmul(x, params[f"{prefix}.Wn"])
+             + matmul(r * h, params[f"{prefix}.Un"]) + params[f"{prefix}.bn"])
     one = Tensor(1.0)
     return (one - z) * n + z * h
 
@@ -103,7 +105,6 @@ def test_fused_gru_step_matches_composite(prefix):
 
 def test_uncertainty_vector_positive_and_scalar_clamped():
     rng = np.random.default_rng(2)
-    from uban.model import _head_shapes, _init_params
     params = _init_params(rng, _head_shapes(6, 9))
     feat = Tensor(rng.normal(scale=50.0, size=(4, 6)))
     for pooling in ("mean", "max", "min"):
@@ -115,7 +116,6 @@ def test_uncertainty_vector_positive_and_scalar_clamped():
 
 def test_pooling_modes_ordered():
     rng = np.random.default_rng(4)
-    from uban.model import _head_shapes, _init_params
     params = _init_params(rng, _head_shapes(6, 9))
     feat = Tensor(rng.normal(size=(3, 6)))
     lo = dual_heads(feat, params, "min")[1].data
@@ -125,7 +125,6 @@ def test_pooling_modes_ordered():
 
 
 def test_unknown_pooling_rejected():
-    from uban.model import _head_shapes, _init_params
     params = _init_params(np.random.default_rng(0), _head_shapes(3, 4))
     with pytest.raises(ValueError, match="pooling"):
         dual_heads(Tensor(np.zeros((1, 3))), params, "median")
@@ -185,7 +184,6 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 @pytest.mark.parametrize("dims", [(5, 7, 3), (1, 2, 9)])
 def test_parameter_shapes_match_the_model(dims):
-    from uban.model import _parameter_shapes
     model = AnticipationModel(*dims)
     assert _parameter_shapes(*dims) == {k: t.data.shape for k, t in model.params.items()}
 

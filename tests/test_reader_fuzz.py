@@ -12,6 +12,7 @@ import tempfile
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import edit_bytes
 from uban.cooccur import (DataError, KnowledgeEdgeSet, Vocabulary, read_annotations,
                           read_edge_dump, read_vocabulary)
 from uban.model import AnticipationModel, load_checkpoint, save_checkpoint
@@ -46,18 +47,6 @@ def _edits(valid):
                               st.sampled_from(MUTATION_BYTES)), min_size=1, max_size=4)
 
 
-def _apply(blob, edit_list):
-    for kind, pos, piece in edit_list:
-        pos = min(pos, len(blob))
-        if kind == "insert":
-            blob = blob[:pos] + piece + blob[pos:]
-        elif kind == "replace":
-            blob = blob[:pos] + piece + blob[pos + 1:]
-        else:
-            blob = blob[:pos] + blob[pos + 1:]
-    return blob
-
-
 # ---------------------------------------------------------------------------
 # annotations
 
@@ -83,7 +72,7 @@ def test_read_annotations_fuzz_bytes(blob):
 @settings(max_examples=150, deadline=None)
 @given(_edits(VALID_ANNOTATIONS))
 def test_read_annotations_fuzz_mutations(edit_list):
-    _check_annotations(_parse(read_annotations, _apply(VALID_ANNOTATIONS, edit_list)))
+    _check_annotations(_parse(read_annotations, edit_bytes(VALID_ANNOTATIONS, edit_list)))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +96,7 @@ def test_read_vocabulary_fuzz_bytes(blob):
 @settings(max_examples=150, deadline=None)
 @given(_edits(VALID_VERBS))
 def test_read_vocabulary_fuzz_mutations(edit_list):
-    _check_vocabulary(_parse(read_vocabulary, _apply(VALID_VERBS, edit_list), VALID_NOUNS))
+    _check_vocabulary(_parse(read_vocabulary, edit_bytes(VALID_VERBS, edit_list), VALID_NOUNS))
 
 
 # ---------------------------------------------------------------------------
@@ -155,4 +144,4 @@ def test_load_checkpoint_fuzz_bytes(blob):
 @settings(max_examples=200, deadline=None)
 @given(_edits(VALID_CHECKPOINT))
 def test_load_checkpoint_fuzz_mutations(edit_list):
-    _check_checkpoint(_parse(load_checkpoint, _apply(VALID_CHECKPOINT, edit_list)))
+    _check_checkpoint(_parse(load_checkpoint, edit_bytes(VALID_CHECKPOINT, edit_list)))

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import reachable
 from uban import autodiff as ad
 from uban.autodiff import Tensor
 from uban.data import SyntheticSpec, family_batches, generate_synthetic, window_samples
@@ -124,17 +125,6 @@ def test_tape_nodes_per_step_pinned(tiny, objective, monkeypatch):
     assert counts and set(counts) == {TAPE_NODES[objective]}
 
 
-def _graph(root):
-    """Every tensor reachable from root, leaves and data inputs included."""
-    nodes, stack = {}, [root]
-    while stack:
-        t = stack.pop()
-        if id(t) not in nodes:
-            nodes[id(t)] = t
-            stack.extend(t._parents)
-    return list(nodes.values())
-
-
 def test_gradients_share_no_memory(tiny, monkeypatch):
     # backward adds later contributions into .grad in place, so a grad
     # aliasing any .data would corrupt it; a grad aliasing another parameter's
@@ -145,7 +135,7 @@ def test_gradients_share_no_memory(tiny, monkeypatch):
     def checking(root):
         backward(root)
         if not checked:
-            nodes = _graph(root)
+            nodes = reachable(root)
             params = [t for t in nodes if t.requires_grad and not t._parents]
             assert params and all(p.grad is not None for p in params)
             checked.extend(not np.shares_memory(p.grad, t.data)
