@@ -119,13 +119,13 @@ def noise_sweep(evaluate_fn, store, etas, seed=0):
     """Evaluate on polluted copies of the features, one row per intensity.
 
     evaluate_fn(store) must return (top5_accuracy, mean_uncertainty).
-    Returns a list of (eta, top5, mean_u) rows.
+    Returns a list of (eta, top5, mean_u) rows.  Every intensity is checked
+    before the first is evaluated, so a bad one costs no pollution.
     """
     rows = []
-    for eta in etas:
-        noisy = pollute(store, NoiseConfig(eta=eta, seed=seed))
-        top5, mean_u = evaluate_fn(noisy)
-        rows.append((float(eta), float(top5), float(mean_u)))
+    for cfg in [NoiseConfig(eta=eta, seed=seed) for eta in etas]:
+        top5, mean_u = evaluate_fn(pollute(store, cfg))
+        rows.append((float(cfg.eta), float(top5), float(mean_u)))
     return rows
 
 

@@ -202,7 +202,8 @@ def mc_dropout_forward(model, observed, n_a, passes, drop_rate, seed=0):
     mean adjusted probabilities (B, n_a, C) and a mutual-information style
     model-uncertainty estimate: entropy of the mean distribution minus the
     mean per-pass entropy, averaged over samples and steps.  Memory does not
-    grow with the number of passes: only running sums are kept.
+    grow with the number of passes: only running sums are kept, one
+    contiguous (B, C) and (B,) slot per step.
     """
     if passes < 2:
         raise ValueError("passes must be >= 2")
@@ -211,24 +212,24 @@ def mc_dropout_forward(model, observed, n_a, passes, drop_rate, seed=0):
     rng = np.random.default_rng(seed)
     keep = 1.0 - drop_rate
     eps = 1e-12
-    prob_sum = entropy_sum = 0.0
     with ad.no_grad():
         # x * (1/keep) * draw equals x * (draw / keep) bit for bit, zero signs too
         scaled = [feat.data * (1.0 / keep) for feat in model.backbone.anticipate(observed, n_a)]
+        batch = scaled[0].shape[0]
+        prob_sum = np.zeros((n_a, batch, model.num_classes))
+        entropy_sum = np.zeros((n_a, batch))
         for _ in range(passes):
-            probs = []
-            for feat in scaled:
+            for k, feat in enumerate(scaled):
                 dropped = Tensor(feat * (rng.random(feat.shape) < keep))
-                probs.append(_adjusted_probs(
-                    *dual_heads(dropped, model.head_params, model.pooling)))
-            probs = np.stack(probs, axis=1)  # (B, n_a, C)
-            prob_sum += probs
-            entropy_sum -= (probs * np.log(probs + eps)).sum(axis=-1)
+                probs = _adjusted_probs(*dual_heads(dropped, model.head_params, model.pooling))
+                prob_sum[k] += probs
+                entropy_sum[k] -= (probs * np.log(probs + eps)).sum(axis=-1)
 
     mean_probs = prob_sum / passes
     entropy_of_mean = -(mean_probs * np.log(mean_probs + eps)).sum(axis=-1)
-    model_uncertainty = float((entropy_of_mean - entropy_sum / passes).mean())
-    return {"mean_probs": mean_probs, "model_uncertainty": model_uncertainty}
+    # a batch-major (B, n_a) copy keeps the summation order of the mean unchanged
+    mutual = np.ascontiguousarray((entropy_of_mean - entropy_sum / passes).T)
+    return {"mean_probs": mean_probs.transpose(1, 0, 2), "model_uncertainty": float(mutual.mean())}
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,27 @@ def test_softmax_rows_sum_to_one():
     assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_softplus_within_two_ulp_of_logaddexp():
+    x = np.random.default_rng(23).uniform(-50.0, 50.0, size=100_000)
+    np.testing.assert_allclose(ad.softplus(Tensor(x)).data, np.logaddexp(0.0, x),
+                               rtol=2**-50, atol=0)
+
+
+SOFTPLUS_SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 36.0, 37.0, 40.0, -40.0, 700.0, -700.0,
+                    -745.0, -746.0, 1e308, -1e308, np.inf, -np.inf]
+
+
+def test_softplus_exact_at_special_values():
+    x = np.array(SOFTPLUS_SPECIAL)
+    out = ad.softplus(Tensor(x)).data
+    assert out.tobytes() == np.logaddexp(0.0, x).tobytes()
+
+
+def test_softplus_of_nan_is_nan_without_warning():
+    # warnings are errors here, so a RuntimeWarning fails the test
+    assert np.isnan(ad.softplus(Tensor([np.nan, 1.0])).data[0])
+
+
 def test_grad_check_quadratic():
     def loss(t):
         return ad.tensor_sum(ad.square(t))

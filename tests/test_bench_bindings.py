@@ -7,8 +7,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import numpy as np  # noqa: E402
 from spans import BINDINGS, Tracer  # noqa: E402
 
+import uban.model  # noqa: E402
 from uban.data import SyntheticSpec, generate_synthetic  # noqa: E402
 from uban.train import TrainConfig, train  # noqa: E402
 
@@ -33,3 +35,17 @@ def test_boosted_training_calls_every_labels_binding():
         tracer.uninstall()
     labels = [b.name for b in BINDINGS if b.layer == "labels"]
     assert labels and [n for n in labels if tracer.calls[n] == 0] == []
+
+
+def test_mc_dropout_runs_every_pass_through_dual_heads():
+    # the traced model.dual_heads metrics see MC dropout only through this binding
+    model = uban.model.AnticipationModel(feature_dim=4, hidden_dim=5, num_classes=6, seed=3)
+    obs = np.random.default_rng(9).normal(size=(7, 3, 4))
+    passes, n_a = 5, 4
+    tracer = Tracer()
+    tracer.install()
+    try:
+        uban.model.mc_dropout_forward(model, obs, n_a, passes=passes, drop_rate=0.3)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["uban.model.dual_heads"] == passes * n_a

@@ -182,6 +182,20 @@ def test_negative_eta_is_data_error(gen_dir, train_dir, tmp_path, capsys):
         assert "Traceback" not in err and "eta must be nonnegative" in err
 
 
+def test_bad_eta_list_is_rejected_before_any_pollution(gen_dir, train_dir, tmp_path,
+                                                       capsys, monkeypatch):
+    polluted = []
+    monkeypatch.setattr("uban.evaluation.pollute",
+                        lambda store, cfg: polluted.append(cfg.eta) or store)
+    code = run("--out", tmp_path / "e", "eval", *corpus_args(gen_dir),
+               "--features", gen_dir / "features.csv", "--checkpoint",
+               train_dir / "model.ckpt", "--mode", "noise", "--etas", 0, 5, "nan")
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "Traceback" not in err and "eta must be nonnegative" in err
+    assert polluted == []
+
+
 def test_gen_bad_feature_noise_is_data_error(tmp_path, capsys):
     for noise in ("-1", "nan", "inf"):
         assert run(*gen_args(tmp_path / "g"), "--feature-noise", noise) == EXIT_DATA, noise
@@ -496,7 +510,7 @@ EVAL_DIGESTS = {
     "metrics": ("metrics.json",
                 "878b20742191c660ad2064eef71c109f1f1d3c5e36270fa3ac22f12e1d9dfee2"),
     "mcdropout": ("mcdropout.json",
-                  "67e9c7f6e4b52aa5d5111f39f1333d158155b3b789b18a5037fe31f81509e840"),
+                  "d2bb29cfd44e5d1c048d79fbdfb45423092207575e9641c14f0e04460d4acc1f"),
     "noise": ("noise.csv",
               "8e61ef987dfd5eb578b509660fdf302694aa521e26b351ee9f81e6ea869b0fa6"),
     "reject": ("rejection.csv",

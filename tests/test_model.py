@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,22 @@ def test_mc_dropout_small_rate_matches_plain_forward():
     out = mc_dropout_forward(model, obs, n_a=3, passes=10, drop_rate=1e-9, seed=0)
     np.testing.assert_allclose(out["mean_probs"], plain, atol=1e-6)
     assert out["model_uncertainty"] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_mc_dropout_memory_does_not_grow_with_passes():
+    model = AnticipationModel(feature_dim=8, hidden_dim=6, num_classes=10, seed=1)
+    obs = np.random.default_rng(0).normal(size=(64, 3, 8))
+
+    def peak(passes):
+        tracemalloc.start()
+        try:
+            mc_dropout_forward(model, obs, n_a=4, passes=passes, drop_rate=0.3, seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(2), peak(32)
+    assert abs(many - few) <= 0.1 * few, (few, many)
 
 
 def _mc_dropout_per_pass(model, observed, n_a, passes, drop_rate, seed):
